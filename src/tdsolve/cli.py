@@ -1,5 +1,5 @@
 """Command-line entry point: PACE-format graph input, forest output,
-solver/oracle/validator/bench subfunctions behind flags.
+solver/oracle/validator subfunctions behind flags.
 
 Exit status: 0 on success (forest printed, count printed, valid forest),
 1 when the budget is infeasible or validation fails, 2 on input errors.
@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .construct import solve_deterministic
 from .counting import count_elim_forests
@@ -91,25 +89,18 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _solve_component(sub: Graph, d: int, mode: str, cfg: LinearConfig, seed: int):
-    if mode == "deterministic":
-        return solve_deterministic(sub, d)
-    return solve_randomized(sub, d, cfg, random.Random(seed))
-
-
-def _solve(g: Graph, d: int, mode: str, cfg: LinearConfig, seed: int, threads: int):
-    comps = connected_components(g)
-    jobs = [(sub, d, mode, cfg, seed + 10007 * i) for i, (_, sub, _) in enumerate(comps)]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _solve_component(*a), jobs))
-    else:
-        results = [_solve_component(*a) for a in jobs]
+def _solve(g: Graph, d: int, mode: str, cfg: LinearConfig, seed: int):
+    """Solve every connected component on its own; component i of a
+    randomized run gets the seed seed + 10007 * i."""
     parts = []
-    for (verts, _, _), f in zip(comps, results):
-        if f is None:
-            return None
+    for i, (verts, sub, _) in enumerate(connected_components(g)):
+        if mode == "deterministic":
+            f = solve_deterministic(sub, d)
+        else:
+            f = solve_randomized(sub, d, cfg, random.Random(seed + 10007 * i))
         parts.append((verts, f))
+    if any(f is None for _, f in parts):
+        return None
     return merge_forests(g.n, parts)
 
 
@@ -128,42 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--validate", metavar="FOREST", default=None,
                     help="validate a PACE solution file against the graph")
     ap.add_argument("--oracle", action="store_true", help="brute-force treedepth (small graphs only)")
-    ap.add_argument("--bench", metavar="FAMILY", default=None, choices=["paths"],
-                    help="run a scaling benchmark family and exit")
     ap.add_argument("--const-C", type=int, default=1, dest="const_c", help="error-exponent constant")
     ap.add_argument("--const-B", type=int, default=None, dest="const_b", help="fixed color count override")
     ap.add_argument("--const-bod", type=int, default=72, dest="const_bod",
                     help="reduction fraction factor: c(d) = const * (d+1)^6")
     ap.add_argument("--trunc-check", action="store_true",
                     help="with --count-only: recount at an uncapped degree bound and compare")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads for independent components")
     return ap
-
-
-def _cmd_bench(args) -> int:
-    from .oracle import path
-
-    d = args.max_depth if args.max_depth is not None else 8
-    cfg = LinearConfig(error_exponent=args.const_c, bod_factor=args.const_bod,
-                       color_override=args.const_b)
-    prev = None
-    for exp in (10, 11, 12, 13):
-        n = 1 << exp
-        g = path(n)
-        t0 = time.perf_counter()
-        f = solve_randomized(g, d, cfg, random.Random(args.seed))
-        dt = time.perf_counter() - t0
-        verdict = "feasible" if f is not None else f"td > {d}"
-        ratio = "" if prev is None else f"  ratio {dt / prev:.2f}"
-        print(f"path n={n:6d} d={d}: {verdict:>10s}  {dt:8.3f}s{ratio}")
-        prev = dt
-    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.bench:
-        return _cmd_bench(args)
     try:
         g = parse_pace_graph(_read_input(args.input))
     except (OSError, ValueError) as exc:
@@ -214,7 +180,7 @@ def main(argv=None) -> int:
                        color_override=args.const_b)
     budgets = [args.max_depth] if not args.optimize else list(range(1, max(g.n, 1) + 1))
     for d in budgets:
-        f = _solve(g, d, args.mode, cfg, args.seed, args.threads)
+        f = _solve(g, d, args.mode, cfg, args.seed)
         if f is not None:
             sys.stdout.write(emit_pace_forest(f))
             return 0

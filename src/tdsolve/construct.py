@@ -1,11 +1,18 @@
-"""Deterministic solver: root-by-root self-reduction on top of the counting
-engine, wrapped in iterative compression so no auxiliary forest needs to be
-supplied.
+"""Construction driver shared by both solvers, and the deterministic solver:
+an exact root scan on top of the counting engine, wrapped in iterative
+compression so no auxiliary forest needs to be supplied.
+
+The driver runs the self-reduction per connected component: a root finder
+names a vertex v whose removal leaves a feasible instance, the driver
+recurses on g-v and attaches v as the root.  Solvers differ only in the
+finder they pass in.
 
 Returns None for the certified verdict that the depth budget is infeasible
 (with the exact ring there are no false negatives)."""
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .counting import count_elim_forests, count_elim_trees
 from .forest import (
@@ -17,52 +24,58 @@ from .forest import (
     restrict_to_components,
 )
 from .graph import Graph, connected_components, minus_vertex, prefix_subgraph
-from .polyring import CoefficientRing, ExactRing
 
 
-def construct_elim_forest(
-    g: Graph, t: RootedForest, d: int, ring: CoefficientRing | None = None
+def build_forest(
+    g: Graph,
+    t: RootedForest,
+    d: int,
+    find_root: Callable[[Graph, RootedForest, int], tuple[int, int] | None],
 ) -> RootedForest | None:
-    """Build an elimination forest of g of depth at most d, or conclude the
-    budget is infeasible, guided by the auxiliary elimination forest t.
+    """Build an elimination forest of g of depth at most d, guided by the
+    auxiliary elimination forest t, or return None when find_root finds no
+    root for some component.
 
-    Works per connected component: if the sensible-tree count is zero the
-    component is hopeless; otherwise some vertex v has a feasible remainder
-    (count of g-v at budget d-1 positive), and recursing on g-v with v
-    re-attached as the root yields a valid tree.  In a modular ring a zero
-    count may be a false negative; in the exact ring verdicts are certain.
+    find_root(g, t, d) is only asked about connected graphs with at least two
+    vertices; it returns a root v and the depth budget left for g-v, or None.
     """
-    ring = ring or ExactRing()
     if g.n == 0:
         return RootedForest([])
+    if d < 1:
+        return None
     rt = restrict_to_components(g, t)
     parts = []
     for verts, sub, _ in connected_components(g):
+        if sub.n == 1:
+            parts.append((verts, RootedForest([-1])))
+            continue
         subt = induced_forest(rt, verts)
-        tree = _construct_tree(sub, subt, d, ring)
-        if tree is None:
+        found = find_root(sub, subt, d)
+        if found is None:
             return None
-        parts.append((verts, tree))
+        v, budget = found
+        rest = build_forest(minus_vertex(sub, v)[0], remove_vertex(subt, v), budget, find_root)
+        if rest is None:
+            return None
+        parts.append((verts, attach_root(rest, v)))
     return merge_forests(g.n, parts)
 
 
-def _construct_tree(g: Graph, t: RootedForest, d: int, ring: CoefficientRing) -> RootedForest | None:
-    if d < 1:
-        return None
-    if g.n == 1:
-        return RootedForest([-1])
-    if ring.is_zero(count_elim_trees(g, t, d, ring)):
+def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
+    """The first vertex v whose removal leaves a positive exact count at
+    budget d-1, after a positive count of g itself at budget d."""
+    if count_elim_trees(g, t, d) == 0:
         return None
     for v in range(g.n):
-        gv, _ = minus_vertex(g, v)
-        tv = remove_vertex(t, v)
-        if ring.is_zero(count_elim_forests(gv, tv, d - 1, ring)):
-            continue
-        sub = construct_elim_forest(gv, tv, d - 1, ring)
-        if sub is None:
-            break  # only reachable through modular false negatives
-        return attach_root(sub, v)
+        if count_elim_forests(minus_vertex(g, v)[0], remove_vertex(t, v), d - 1) != 0:
+            return v, d - 1
     return None
+
+
+def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | None:
+    """Exact-ring self-reduction: an elimination forest of g of depth at most
+    d, or the certified verdict None."""
+    return build_forest(g, t, d, find_root_exact)
 
 
 def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
@@ -83,12 +96,9 @@ def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
 
 
 def _compress_component(g: Graph, d: int) -> RootedForest | None:
-    ring = ExactRing()
     f = RootedForest([])
     for i in range(g.n):
-        gi = prefix_subgraph(g, i + 1)
-        ti = attach_root(f, i)
-        f = construct_elim_forest(gi, ti, d, ring)
+        f = construct_elim_forest(prefix_subgraph(g, i + 1), attach_root(f, i), d)
         if f is None:
             return None
     return f

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .forest import PrefixTree, RootedForest, induced_forest, restrict_to_components
 from .graph import Graph, connected_components
-from .polyring import CoefficientRing, ExactRing, TruncatedPolynomial, poly_trim
+from .polyring import CoefficientRing, ExactRing, TruncatedPolynomial, poly_mul, poly_trim
 
 
 @dataclass(frozen=True)
@@ -184,33 +184,54 @@ def _top_coefficients(
         kids = children[u]
         if not kids:
             return [1]
-        acc = None
-        for v in kids:
-            fv = pending(v, allowed)
-            if not fv:
-                return []
-            if acc is None:
-                acc = fv
-            elif len(acc) == 1 and acc[0] == 1:
-                acc = fv
-            else:
-                la, lb = len(acc), len(fv)
-                size = min(la + lb - 1, cap)
-                out = [0] * size
-                for i in range(min(la, cap)):
-                    ca = acc[i]
-                    if ca:
-                        top = min(lb, size - i)
-                        for j in range(top):
-                            out[i + j] += ca * fv[j]
-                if mod is not None:
-                    out = [c % mod for c in out]
-                acc = poly_trim(out)
-                if not acc:
-                    return []
+        acc = pending(kids[0], allowed)
+        for v in kids[1:]:
+            if not acc:
+                return acc
+            acc = poly_mul(acc, pending(v, allowed), cap, mod)
         if bound_limits is not None:
             check_coeffs(u, acc, bound_limits[u] // bound_base, allowed)
         return acc
+
+    def fresh(u: int, w: int | None, maxp: int, allowed: int, out: list) -> None:
+        """Add to out the placements of u at the tip of a fresh chain of 1 to
+        maxp vertices hung below skeleton vertex w (a new skeleton root when
+        w is None).  The chain's interior vertices are summed with alternating
+        signs over the subsets opened for reuse, and the chain length is
+        repaid by shifting down.  Only the tip at skeleton index 0 picks up
+        u's weight."""
+        base = skeleton.add_child(w)
+        weight = wts[u]
+        for p in range(1, maxp + 1):
+            tip = base + p - 1
+            tipbit = 1 << tip
+            interior = p - 1
+            inner: list = []
+            for bm in range(1 << interior):
+                phi[u] = tip
+                val = placed(u, allowed | (bm << base) | tipbit)
+                phi[u] = -1
+                if not val:
+                    continue
+                if tip == 0 and weight != 1:
+                    val = [c * weight for c in val]
+                if len(inner) < len(val):
+                    inner.extend([0] * (len(val) - len(inner)))
+                if (interior - popcnt[bm]) & 1:
+                    for i, c in enumerate(val):
+                        inner[i] -= c
+                else:
+                    for i, c in enumerate(val):
+                        inner[i] += c
+            if len(inner) > interior:
+                extra = inner[interior:]
+                if len(out) < len(extra):
+                    out.extend([0] * (len(extra) - len(out)))
+                for i, c in enumerate(extra):
+                    out[i] += c
+            if p < maxp:
+                skeleton.add_child(tip)
+        skeleton.truncate(base)
 
     def pending(u: int, allowed: int) -> list:
         out: list = []
@@ -248,8 +269,7 @@ def _top_coefficients(
         del out[cap:]
 
         # fresh chains, no longer than the remaining subtree can cover
-        base = len(kparent)
-        for w in range(base):
+        for w in range(len(kparent)):
             maxp = d - kdepth[w]
             if maxp > rem:
                 maxp = rem
@@ -265,42 +285,7 @@ def _top_coefficients(
                 # a fresh tip is comparable only with ancestors of the
                 # attachment point, so no chain below w can ever work
                 continue
-            kparent.append(w)
-            kdepth.append(kdepth[w] + 1)
-            kanc.append(aw | (1 << base))
-            for p in range(1, maxp + 1):
-                tip = base + p - 1
-                tipbit = 1 << tip
-                interior = p - 1
-                inner: list = []
-                for bm in range(1 << interior):
-                    phi[u] = tip
-                    val = placed(u, allowed | (bm << base) | tipbit)
-                    phi[u] = -1
-                    if not val:
-                        continue
-                    if len(inner) < len(val):
-                        inner.extend([0] * (len(val) - len(inner)))
-                    if (interior - popcnt[bm]) & 1:
-                        for i, c in enumerate(val):
-                            inner[i] -= c
-                    else:
-                        for i, c in enumerate(val):
-                            inner[i] += c
-                if len(inner) > interior:
-                    extra = inner[interior:]
-                    if len(out) < len(extra):
-                        out.extend([0] * (len(extra) - len(out)))
-                    for i, c in enumerate(extra):
-                        out[i] += c
-                if p < maxp:
-                    tanc = kanc[tip] | (1 << (tip + 1))
-                    kparent.append(tip)
-                    kdepth.append(kdepth[tip] + 1)
-                    kanc.append(tanc)
-            del kparent[base:]
-            del kdepth[base:]
-            del kanc[base:]
+            fresh(u, w, maxp, allowed, out)
 
         if mod is not None:
             out = [c % mod for c in out]
@@ -309,48 +294,11 @@ def _top_coefficients(
             check_coeffs(u, out, bound_limits[u], allowed)
         return out
 
-    # top level: the root r of t goes to the tip of a standalone chain; the
-    # p = 1 chain consists of the skeleton root alone, which is the only
-    # placement that picks up r's weight here
+    # top level: the root r of t goes to the tip of a chain that starts a
+    # new skeleton
     r = t.roots[0]
-    maxp_top = min(d, tree_size[r])
     total: list = []
-    for p in range(1, maxp_top + 1):
-        if p == 1:
-            kparent.append(-1)
-            kdepth.append(1)
-            kanc.append(1)
-        else:
-            tip_prev = p - 2
-            kparent.append(tip_prev)
-            kdepth.append(kdepth[tip_prev] + 1)
-            kanc.append(kanc[tip_prev] | (1 << (p - 1)))
-        tip = p - 1
-        interior = p - 1
-        inner = []
-        for bm in range(1 << interior):
-            phi[r] = tip
-            val = placed(r, bm | (1 << tip))
-            phi[r] = -1
-            if not val:
-                continue
-            if len(inner) < len(val):
-                inner.extend([0] * (len(val) - len(inner)))
-            if (interior - popcnt[bm]) & 1:
-                for i, c in enumerate(val):
-                    inner[i] -= c
-            else:
-                for i, c in enumerate(val):
-                    inner[i] += c
-        if p == 1 and wts[r] != 1:
-            inner = [c * wts[r] for c in inner]
-        if len(inner) > interior:
-            extra = inner[interior:]
-            if len(total) < len(extra):
-                total.extend([0] * (len(extra) - len(total)))
-            for i, c in enumerate(extra):
-                total[i] += c
-    skeleton.truncate(0)
+    fresh(r, None, min(d, tree_size[r]), 0, total)
     return total
 
 

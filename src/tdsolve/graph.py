@@ -249,20 +249,6 @@ def _simplicial_in(g: Graph) -> list[int]:
     return out
 
 
-def improved_simplicial_vertices(g: Graph, d: int) -> list[int]:
-    """All v whose closed neighborhood in improved_graph(g, d) is a clique there."""
-    return _simplicial_in(improved_graph(g, d))
-
-
-def has_large_clique(g_imp: Graph, d: int) -> bool:
-    """Detects a clique of size d+2 in an (improved) graph via simplicial
-    closed neighborhoods; a hit certifies that depth budget d is hopeless."""
-    for v in _simplicial_in(g_imp):
-        if g_imp.degree(v) + 1 >= d + 2:
-            return True
-    return False
-
-
 def greedy_maximal_matching(g: Graph) -> Matching:
     """Maximal matching, scanning edges in ascending (min, max) order so the
     result is reproducible."""

@@ -13,22 +13,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .construct import build_forest
 from .counting import count_elim_forests, count_elim_trees
 from .forest import (
     RootedForest,
-    attach_root,
     expand_contracted_forest,
-    induced_forest,
     lift_simplicial,
-    merge_forests,
     remove_vertex,
-    restrict_to_components,
     validate_elimination_forest,
 )
 from .graph import (
     Graph,
     bodlaender_step,
-    connected_components,
     contract_matching,
     improved_graph,
     induced_subgraph,
@@ -74,24 +70,15 @@ class LinearConfig:
         )
 
 
-@dataclass(frozen=True)
-class RootCandidateSet:
-    """Vertices whose removal drops the treedepth; nonempty for every
-    connected graph of positive treedepth."""
-
-    vertices: frozenset
-
-
 @dataclass
 class RunContext:
     """Per-run state: the original vertex count, the one sampled prime, the
-    configured randomness, and a few counters for experiments."""
+    configured randomness, and two counters for experiments."""
 
     n_top: int
     prime: int
     cfg: LinearConfig
     rng: random.Random
-    counting_calls: int = 0
     colorings_tried: int = 0
     roots_found: int = 0
 
@@ -154,14 +141,7 @@ def _recover_index(num: int, den: int, ring: ModularRing) -> int | None:
     return num // den
 
 
-def find_root_colorcoding(
-    g: Graph,
-    t: RootedForest,
-    d: int,
-    cfg: LinearConfig | None = None,
-    rng: random.Random | None = None,
-    ctx: RunContext | None = None,
-) -> int | None:
+def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> int | None:
     """Find some feasible root of a depth-d elimination tree of the connected
     graph g by random color isolation.
 
@@ -171,10 +151,6 @@ def find_root_colorcoding(
     Exhausting all retries (after the color-count doubling fallback) signals
     a probable false negative to the caller.
     """
-    if ctx is None:
-        cfg = cfg or LinearConfig()
-        rng = rng or random.Random(0)
-        ctx = new_run_context(g.n, d, cfg, rng)
     n = g.n
     if n == 1:
         return 0
@@ -223,7 +199,6 @@ def _try_color(
         for v in members:
             ind[v] = 1
             idx[v] = v + 1
-        ctx.counting_calls += 2
         den = count_elim_trees(g, t, d, ring, weights=ind)
         if ring.is_zero(den):
             return None
@@ -236,11 +211,24 @@ def _try_color(
             return None
     gv, _ = minus_vertex(g, v)
     tv = remove_vertex(t, v)
-    ctx.counting_calls += 1
     ver_ring = _ring_for(gv, tv, max(d - 1, 1), ctx)
     if ver_ring.is_zero(count_elim_forests(gv, tv, d - 1, ver_ring)):
         return None  # failed certification: wrong candidate or unlucky modulus
     return v
+
+
+def colorcoding_root_finder(ctx: RunContext):
+    """Root finder for build_forest: the exact depth d* <= d of g under the
+    run's modular counts, then a color-coded root of a depth-d* tree."""
+
+    def find_root(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
+        dstar = determine_exact_depth(g, t, d, _ring_for(g, t, d, ctx))
+        if dstar is None:
+            return None
+        root = find_root_colorcoding(g, t, dstar, ctx)
+        return None if root is None else (root, dstar - 1)
+
+    return find_root
 
 
 def construct_linear(
@@ -249,47 +237,12 @@ def construct_linear(
     d: int,
     cfg: LinearConfig | None = None,
     rng: random.Random | None = None,
-    _ctx: RunContext | None = None,
 ) -> RootedForest | None:
     """Turn an auxiliary elimination forest of depth at most 2d into one of
     depth at most d, or report the budget infeasible (possibly a false
     negative under the large-prime ring)."""
-    ctx = _ctx
-    if ctx is None:
-        cfg = cfg or LinearConfig()
-        rng = rng or random.Random(0)
-        ctx = new_run_context(g.n, d, cfg, rng)
-    if g.n == 0:
-        return RootedForest([])
-    rt = restrict_to_components(g, t)
-    parts = []
-    for verts, sub, _ in connected_components(g):
-        subt = induced_forest(rt, verts)
-        tree = _construct_tree_linear(sub, subt, d, ctx)
-        if tree is None:
-            return None
-        parts.append((verts, tree))
-    return merge_forests(g.n, parts)
-
-
-def _construct_tree_linear(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> RootedForest | None:
-    if d < 1:
-        return None
-    if g.n == 1:
-        return RootedForest([-1])
-    ring = _ring_for(g, t, d, ctx)
-    dstar = determine_exact_depth(g, t, d, ring)
-    if dstar is None:
-        return None
-    root = find_root_colorcoding(g, t, dstar, ctx=ctx)
-    if root is None:
-        return None
-    gv, _ = minus_vertex(g, root)
-    tv = remove_vertex(t, root)
-    sub = construct_linear(gv, tv, dstar - 1, _ctx=ctx)
-    if sub is None:
-        return None
-    return attach_root(sub, root)
+    ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))
+    return build_forest(g, t, d, colorcoding_root_finder(ctx))
 
 
 def solve_randomized(
@@ -338,7 +291,7 @@ def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
         if sub is None:
             return None
         t = expand_contracted_forest(sub, cmap, n)
-        return construct_linear(g, t, d, _ctx=ctx)
+        return build_forest(g, t, d, colorcoding_root_finder(ctx))
     g_imp = improved_graph(g, d)
     lifted = set(step.vertices)
     kept = [v for v in range(n) if v not in lifted]
@@ -349,4 +302,4 @@ def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
     t = lift_simplicial(sub, old_of_new, g_imp, list(step.vertices), d)
     if t is None:
         return None
-    return construct_linear(g, t, d, _ctx=ctx)
+    return build_forest(g, t, d, colorcoding_root_finder(ctx))

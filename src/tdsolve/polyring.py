@@ -5,10 +5,10 @@ above the cap discarded.  Division by the formal variable is a coefficient
 shift that annihilates the low terms; it is *not* ring division (the free
 term is lost, by design).
 
-The low-level list helpers (`poly_add`, `poly_mul`, ...) are the hot-path
-API used by the counting engine; `TruncatedPolynomial` wraps them as a value
-type.  The zero polynomial is the empty list and coefficient lists carry no
-trailing zeros.
+The counting engine calls the list helpers `poly_mul` and `poly_trim` on its
+hot path; `TruncatedPolynomial` wraps them, `poly_add` and `poly_shift_down`
+as a value type.  The zero polynomial is the empty list and coefficient
+lists carry no trailing zeros.
 """
 
 from __future__ import annotations
@@ -147,26 +147,6 @@ def poly_add(a: list, b: list, mod: int | None = None) -> list:
     return poly_trim(out)
 
 
-def poly_add_into(acc: list, b: list, sign: int = 1, mod: int | None = None) -> None:
-    """acc += sign * b, in place; acc may carry trailing zeros afterwards."""
-    if len(acc) < len(b):
-        acc.extend([0] * (len(b) - len(acc)))
-    if mod is None:
-        if sign == 1:
-            for i, c in enumerate(b):
-                acc[i] += c
-        else:
-            for i, c in enumerate(b):
-                acc[i] -= c
-    else:
-        if sign == 1:
-            for i, c in enumerate(b):
-                acc[i] = (acc[i] + c) % mod
-        else:
-            for i, c in enumerate(b):
-                acc[i] = (acc[i] - c) % mod
-
-
 def poly_mul(a: list, b: list, cap: int, mod: int | None = None) -> list:
     if not a or not b:
         return []
@@ -186,23 +166,6 @@ def poly_mul(a: list, b: list, cap: int, mod: int | None = None) -> list:
     if mod is not None:
         out = [c % mod for c in out]
     return poly_trim(out)
-
-
-def poly_scale(a: list, c: int, mod: int | None = None) -> list:
-    if not a or c == 1:
-        return list(a)
-    if c == 0:
-        return []
-    if mod is not None:
-        return poly_trim([(x * c) % mod for x in a])
-    return poly_trim([x * c for x in a])
-
-
-def poly_shift_up(a: list, e: int, cap: int) -> list:
-    """Multiply by x^e under the degree cap."""
-    if not a or e == 0:
-        return list(a)
-    return poly_trim([0] * e + a[: cap - e])
 
 
 def poly_shift_down(a: list, e: int) -> list:
@@ -250,10 +213,6 @@ class TruncatedPolynomial:
     def mul(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
         self._check(other)
         cs = poly_mul(list(self.coeffs), list(other.coeffs), self.cap, self.ring.modulus)
-        return TruncatedPolynomial(tuple(cs), self.cap, self.ring)
-
-    def scale(self, c: int) -> "TruncatedPolynomial":
-        cs = poly_scale(list(self.coeffs), self.ring.normalize(c), self.ring.modulus)
         return TruncatedPolynomial(tuple(cs), self.cap, self.ring)
 
     def div_by_x_power(self, e: int) -> "TruncatedPolynomial":

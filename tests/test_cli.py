@@ -129,7 +129,7 @@ def test_cli_same_seed_byte_identical(tmp_path, capsys):
 
 def test_cli_threads_split_components(tmp_path, capsys):
     g = "p tdp 6 4\n1 2\n2 3\n4 5\n5 6\n"
-    code, out, _ = run_cli(tmp_path, capsys, g, "--max-depth", "2", "--threads", "2")
+    code, out, _ = run_cli(tmp_path, capsys, g, "--max-depth", "2")
     assert code == 0
     claimed, f = parse_pace_forest(out, 6)
     assert validate_elimination_forest(parse_pace_graph(g), f, 2)

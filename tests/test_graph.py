@@ -4,14 +4,13 @@ from hypothesis import strategies as st
 
 from tdsolve.graph import (
     Graph,
+    _simplicial_in,
     bodlaender_step,
     connected_components,
     contract_matching,
     dfs_elimination_forest,
     greedy_maximal_matching,
-    has_large_clique,
     improved_graph,
-    improved_simplicial_vertices,
     induced_subgraph,
     treedepth_lower_bound,
 )
@@ -120,18 +119,18 @@ def test_improved_graph_monotone(g, d):
 
 
 def test_simplicial_vertices_edgeless_and_triangle():
-    assert improved_simplicial_vertices(empty_graph(4), 2) == [0, 1, 2, 3]
-    assert improved_simplicial_vertices(clique(3), 2) == [0, 1, 2]
+    assert _simplicial_in(improved_graph(empty_graph(4), 2)) == [0, 1, 2, 3]
+    assert _simplicial_in(improved_graph(clique(3), 2)) == [0, 1, 2]
 
 
 def test_simplicial_vertices_path_endpoints():
-    assert improved_simplicial_vertices(path(3), 2) == [0, 2]
+    assert _simplicial_in(improved_graph(path(3), 2)) == [0, 2]
 
 
-def test_has_large_clique_flags_overfull_neighborhoods():
-    assert has_large_clique(clique(4), 2)
-    assert not has_large_clique(clique(4), 3)
-    assert not has_large_clique(path(10), 2)
+def test_bodlaender_step_flags_overfull_neighborhoods():
+    assert bodlaender_step(clique(4), 2, _cfg_fraction).kind == "too_deep"
+    assert bodlaender_step(clique(4), 3, _cfg_fraction).kind != "too_deep"
+    assert bodlaender_step(path(10), 2, _cfg_fraction).kind != "too_deep"
 
 
 def test_greedy_matching_deterministic_scan():

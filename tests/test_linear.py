@@ -6,7 +6,6 @@ from tdsolve.forest import RootedForest, validate_elimination_forest
 from tdsolve.graph import dfs_elimination_forest
 from tdsolve.linear import (
     LinearConfig,
-    RootCandidateSet,
     choose_modulus,
     construct_linear,
     determine_exact_depth,
@@ -91,14 +90,14 @@ def test_found_roots_always_candidates():
     for g in connected_graphs_up_to(5):
         td = brute_td(g)
         t = solve_deterministic(g, td)
-        candidates = RootCandidateSet(frozenset(candidate_roots(g, td)))
-        assert len(candidates.vertices) >= 1
+        candidates = frozenset(candidate_roots(g, td))
+        assert len(candidates) >= 1
         root = find_root_colorcoding(g, t, td, ctx=ctx_for(g, td, seed=3))
         if g.n == 1:
             assert root == 0
             continue
         assert root is not None
-        assert root in candidates.vertices
+        assert root in candidates
 
 
 def test_construct_linear_p3():

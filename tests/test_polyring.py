@@ -13,7 +13,6 @@ from tdsolve.polyring import (
     poly_add,
     poly_mul,
     poly_shift_down,
-    poly_shift_up,
     sample_prime,
 )
 
@@ -122,10 +121,6 @@ def test_exact_vs_modular_homomorphism(a, b, e):
     while reduced and reduced[-1] == 0:
         reduced.pop()
     assert reduced == modular
-
-
-def test_shift_up_respects_cap():
-    assert poly_shift_up([1, 2, 3], 2, 4) == [0, 0, 1, 2]
 
 
 def test_is_prime_small():
