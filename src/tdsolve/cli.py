@@ -16,7 +16,6 @@ from .counting import count_elim_forests
 from .forest import RootedForest, merge_forests, validate_elimination_forest
 from .graph import Graph, connected_components, dfs_elimination_forest
 from .linear import LinearConfig, solve_randomized
-from .polyring import ExactRing
 
 
 def parse_pace_graph(text: str) -> Graph:
@@ -163,9 +162,9 @@ def main(argv=None) -> int:
             print("error: --count-only needs --max-depth", file=sys.stderr)
             return 2
         t = dfs_elimination_forest(g)
-        cnt = count_elim_forests(g, t, args.max_depth, ExactRing())
+        cnt = count_elim_forests(g, t, args.max_depth)
         if args.trunc_check:
-            wide = count_elim_forests(g, t, args.max_depth, ExactRing(), cap=g.n + 1)
+            wide = count_elim_forests(g, t, args.max_depth, cap=g.n + 1)
             if wide != cnt:
                 print(f"error: truncation mismatch ({cnt} vs {wide})", file=sys.stderr)
                 return 2

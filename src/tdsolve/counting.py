@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .forest import PrefixTree, RootedForest, induced_forest, restrict_to_components
 from .graph import Graph, connected_components
-from .polyring import CoefficientRing, ExactRing, TruncatedPolynomial, poly_mul, poly_trim
+from .polyring import ExactRing, poly_mul, poly_trim
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def count_elim_trees(
     g: Graph,
     t: RootedForest,
     d: int,
-    ring: CoefficientRing | None = None,
+    ring: ExactRing | None = None,
     weights: list[int] | None = None,
     cap: int | None = None,
     check_bounds: bool = False,
@@ -89,40 +89,40 @@ def count_elim_trees(
     """
     ring = ring or ExactRing()
     if g.n == 0:
-        return ring.one
+        return 1
     if d < 1:
-        return ring.zero
+        return 0
     coeffs = _top_coefficients(g, t, d, ring, weights, cap, check_bounds)
-    return ring.normalize(coeffs[0]) if coeffs else ring.zero
+    return ring.normalize(coeffs[0]) if coeffs else 0
 
 
 def eval_h(
     g: Graph,
     t: RootedForest,
     d: int,
-    ring: CoefficientRing | None = None,
+    ring: ExactRing | None = None,
     weights: list[int] | None = None,
     cap: int | None = None,
-) -> TruncatedPolynomial:
-    """The full top-level polynomial: its free term is the sensible-tree
-    count, and the coefficient of the i-th power counts mappings with exactly
-    i placement collisions."""
+) -> tuple:
+    """The full top-level polynomial as a coefficient tuple, normalized in
+    the ring and without trailing zeros (the engine keeps it below the
+    degree cap): its free term is the sensible-tree count, and the
+    coefficient of the i-th power counts mappings with exactly i placement
+    collisions."""
     ring = ring or ExactRing()
-    k = max(t.max_depth, 1)
-    used_cap = max(cap if cap is not None else d * k, 1)
     if g.n == 0:
-        return TruncatedPolynomial.one(used_cap, ring)
+        return (1,)
     if d < 1:
-        return TruncatedPolynomial.zero(used_cap, ring)
+        return ()
     coeffs = _top_coefficients(g, t, d, ring, weights, cap, False)
-    return TruncatedPolynomial.from_coeffs(coeffs, used_cap, ring)
+    return tuple(poly_trim([ring.normalize(c) for c in coeffs]))
 
 
 def _top_coefficients(
     g: Graph,
     t: RootedForest,
     d: int,
-    ring: CoefficientRing,
+    ring: ExactRing,
     weights: list[int] | None,
     cap: int | None,
     check_bounds: bool,
@@ -306,7 +306,7 @@ def count_elim_forests(
     g: Graph,
     t: RootedForest,
     d: int,
-    ring: CoefficientRing | None = None,
+    ring: ExactRing | None = None,
     weights: list[int] | None = None,
     cap: int | None = None,
     check_bounds: bool = False,
@@ -316,14 +316,14 @@ def count_elim_forests(
     most d.  t may be any elimination forest of g."""
     ring = ring or ExactRing()
     if g.n == 0:
-        return ring.one
+        return 1
     rt = restrict_to_components(g, t)
-    total = ring.one
+    total = 1
     for verts, sub, old_of_new in connected_components(g):
         subt = induced_forest(rt, verts)
         subw = [weights[old] for old in old_of_new] if weights is not None else None
         c = count_elim_trees(sub, subt, d, ring, subw, cap, check_bounds)
-        total = ring.mul(total, c)
+        total = ring.normalize(total * c)
         if ring.is_zero(total):
             return total
     return total

@@ -31,7 +31,7 @@ from .graph import (
     minus_vertex,
     treedepth_lower_bound,
 )
-from .polyring import ModularRing, PrimeSamplerConfig, mod_inverse, sample_prime
+from .polyring import ModularRing, mod_inverse, sample_prime
 
 
 @dataclass
@@ -62,12 +62,12 @@ class LinearConfig:
             return max(1, min(self.color_override, n))
         return max(1, min(n, (d + 1) ** (2 * (d + 1))))
 
-    def sampler(self) -> PrimeSamplerConfig:
-        return PrimeSamplerConfig(
-            lower_threshold=self.prime_lower_threshold,
-            error_exponent=self.error_exponent,
-            word_cap=self.word_cap,
-        )
+    def prime_bound(self, n: int, d: int) -> int:
+        """Lower end A of the interval (A, 2A) for the random prime:
+        max(prime_lower_threshold, n^5 * 2^(5 * error_exponent * d^2)),
+        capped at word_cap so the prime fits in two machine words."""
+        raw = max(self.prime_lower_threshold, n**5 * 2 ** (5 * self.error_exponent * d * d))
+        return min(raw, self.word_cap)
 
 
 @dataclass
@@ -84,19 +84,12 @@ class RunContext:
 
 
 def new_run_context(n: int, d: int, cfg: LinearConfig, rng: random.Random) -> RunContext:
-    bound = cfg.sampler().interval_bound(max(n, 1), d)
+    bound = cfg.prime_bound(max(n, 1), d)
     prime = sample_prime(bound, rng)
     return RunContext(n_top=max(n, 1), prime=prime, cfg=cfg, rng=rng)
 
 
-def choose_modulus(
-    r: int,
-    n: int,
-    d: int,
-    cfg: LinearConfig,
-    sampled_prime: int,
-    k: int | None = None,
-) -> ModularRing:
+def choose_modulus(r: int, n: int, d: int, sampled_prime: int, k: int) -> ModularRing:
     """Modulus policy: large subproblems (r >= log2 n) hash with the global
     prime; small ones use m = r*(d*k*2^d)^r + 1, which exceeds every possible
     true result, so the small case is exact and division is plain integer
@@ -105,8 +98,6 @@ def choose_modulus(
         raise ValueError("subproblem must be nonempty")
     if (1 << r) >= n:
         return ModularRing(sampled_prime, prime=True)
-    if k is None:
-        k = 2 * d
     m = r * (d * k * (1 << d)) ** r + 1
     return ModularRing(m, prime=False)
 
@@ -126,7 +117,7 @@ def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ModularRing) 
 
 def _ring_for(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> ModularRing:
     k = max(2 * d, t.max_depth, 1)
-    return choose_modulus(g.n, ctx.n_top, d, ctx.cfg, ctx.prime, k=k)
+    return choose_modulus(g.n, ctx.n_top, d, ctx.prime, k)
 
 
 def _recover_index(num: int, den: int, ring: ModularRing) -> int | None:

@@ -147,24 +147,37 @@ def test_weighted_sum_decomposes_over_roots():
 def test_eval_h_k2_full_polynomial():
     # free term: the two genuine orderings; the linear term: the one mapping
     # that collapses both endpoints onto a single placement
-    h = eval_h(path(2), chain(2), 2)
-    assert h.coeffs == (2, 1)
+    assert eval_h(path(2), chain(2), 2) == (2, 1)
 
 
 def test_eval_h_infeasible_budget_has_zero_free_term():
     h = eval_h(path(2), chain(2), 1)
-    assert h.free_term() == 0
+    assert not h or h[0] == 0
 
 
 def test_eval_h_single_vertex():
-    assert eval_h(empty_graph(1), chain(1), 1).coeffs == (1,)
+    assert eval_h(empty_graph(1), chain(1), 1) == (1,)
 
 
 def test_eval_h_free_term_is_the_count():
+    p = 3
+    ring = ModularRing(p, prime=True)
     for g in connected_graphs_up_to(4):
         t = dfs_elimination_forest(g)
         for d in range(1, 5):
-            assert eval_h(g, t, d).free_term() == count_elim_trees(g, t, d)
+            for w in (None, [v + 1 for v in range(g.n)]):
+                h = eval_h(g, t, d, weights=w)
+                assert (h[0] if h else 0) == count_elim_trees(g, t, d, weights=w)
+                assert len(h) <= d * t.max_depth
+                # under a modular ring: the exact polynomial reduced mod p and
+                # trimmed (the weighted leading terms can vanish mod 3)
+                reduced = [c % p for c in h]
+                while reduced and reduced[-1] == 0:
+                    reduced.pop()
+                assert eval_h(g, t, d, ring, w) == tuple(reduced)
+            # cap 1 leaves only the free term
+            c1 = count_elim_trees(g, t, d, cap=1)
+            assert eval_h(g, t, d, cap=1) == ((c1,) if c1 else ())
 
 
 def test_positivity_independent_of_auxiliary_tree():

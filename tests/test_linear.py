@@ -36,13 +36,13 @@ def ctx_for(g, d, seed=0):
 
 
 def test_choose_modulus_prime_case():
-    ring = choose_modulus(8, 16, 3, CFG, sampled_prime=10007)
+    ring = choose_modulus(8, 16, 3, sampled_prime=10007, k=6)
     assert ring.modulus == 10007 and ring.prime
 
 
 def test_choose_modulus_small_case_formula():
     # r=3, n=256, d=2, k=4: m = 3 * (2*4*4)^3 + 1
-    ring = choose_modulus(3, 256, 2, CFG, sampled_prime=10007, k=4)
+    ring = choose_modulus(3, 256, 2, sampled_prime=10007, k=4)
     assert ring.modulus == 3 * 32**3 + 1 == 98305
     assert not ring.prime
 
@@ -51,14 +51,14 @@ def test_choose_modulus_small_case_is_exact():
     # true result fits below m, so the modular answer is the true answer
     g = path(2)
     t = RootedForest([-1, 0])
-    ring = choose_modulus(2, 10**9, 2, CFG, sampled_prime=10007)
+    ring = choose_modulus(2, 10**9, 2, sampled_prime=10007, k=4)
     assert count_elim_trees(g, t, 2, ring) == 2
 
 
 def test_choose_modulus_single_vertex_prime_case():
     # r >= log2(n) compares shifted: 1 << r >= n
-    assert choose_modulus(1, 2, 3, CFG, sampled_prime=13).modulus == 13
-    assert choose_modulus(1, 3, 3, CFG, sampled_prime=13).modulus != 13
+    assert choose_modulus(1, 2, 3, sampled_prime=13, k=6).modulus == 13
+    assert choose_modulus(1, 3, 3, sampled_prime=13, k=6).modulus != 13
 
 
 def test_determine_exact_depth_examples():
