@@ -10,11 +10,12 @@ Usage: python scripts/false_negatives.py [--instances 200] [--seeds 50]
 """
 
 import argparse
+import os
 import random
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from tdsolve.forest import validate_elimination_forest
 from tdsolve.graph import Graph, connected_components

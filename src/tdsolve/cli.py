@@ -89,17 +89,18 @@ def _read_input(path: str) -> str:
 
 
 def _solve(g: Graph, d: int, mode: str, cfg: LinearConfig, seed: int):
-    """Solve every connected component on its own; component i of a
-    randomized run gets the seed seed + 10007 * i."""
+    """Solve each connected component on its own, stopping at the first
+    infeasible one; component i of a randomized run gets the seed
+    seed + 10007 * i."""
     parts = []
     for i, (verts, sub, _) in enumerate(connected_components(g)):
         if mode == "deterministic":
             f = solve_deterministic(sub, d)
         else:
             f = solve_randomized(sub, d, cfg, random.Random(seed + 10007 * i))
+        if f is None:
+            return None
         parts.append((verts, f))
-    if any(f is None for _, f in parts):
-        return None
     return merge_forests(g.n, parts)
 
 

@@ -254,7 +254,7 @@ def solve_randomized(
         return None
     # structural rejections need no randomness, so they come before the
     # one-time prime draw
-    if g.m > d * g.n or treedepth_lower_bound(g) > d:
+    if _rejected(g, d):
         return None
     ctx = new_run_context(g.n, d, cfg, rng)
     f = _solve(g, d, ctx)
@@ -263,22 +263,26 @@ def solve_randomized(
     return f
 
 
+def _rejected(g: Graph, d: int) -> bool:
+    """Sound structural rejection of a graph with at least two vertices:
+    more than d*n edges, or a path subgraph or clique certifying td > d."""
+    return g.n > 1 and (g.m > d * g.n or treedepth_lower_bound(g) > d)
+
+
 def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
+    """Reduction recursion on a graph that passed _rejected; each smaller
+    graph it makes is filtered before it recurses."""
     n = g.n
     if n == 0:
         return RootedForest([])
     if n == 1:
         return RootedForest([-1])
-    if g.m > d * n:
-        return None
-    if treedepth_lower_bound(g) > d:
-        return None  # certified by a path subgraph or a clique
     step = bodlaender_step(g, d, ctx.cfg.bod_fraction)
     if step.kind == "too_deep":
         return None
     if step.kind == "matching":
         gm, cmap = contract_matching(g, step.matching)
-        sub = _solve(gm, d, ctx)
+        sub = None if _rejected(gm, d) else _solve(gm, d, ctx)
         if sub is None:
             return None
         t = expand_contracted_forest(sub, cmap, n)
@@ -287,7 +291,7 @@ def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
     lifted = set(step.vertices)
     kept = [v for v in range(n) if v not in lifted]
     h, old_of_new = induced_subgraph(g_imp, kept)
-    sub = _solve(h, d, ctx)
+    sub = None if _rejected(h, d) else _solve(h, d, ctx)
     if sub is None:
         return None
     t = lift_simplicial(sub, old_of_new, g_imp, list(step.vertices), d)
