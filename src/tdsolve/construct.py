@@ -7,14 +7,16 @@ names a vertex v whose removal leaves a feasible instance, the driver
 recurses on g-v and attaches v as the root.  Solvers differ only in the
 finder they pass in.
 
-Returns None for the certified verdict that the depth budget is infeasible
-(with the exact ring there are no false negatives)."""
+The exact scan counts only the graphs g-v: a connected g has depth at most d
+exactly when some g-v has depth at most d-1, so when the scan runs out the
+verdict None is certified (with the exact ring there are no false
+negatives), and no count of g itself is needed."""
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .counting import count_elim_forests, count_elim_trees
+from .counting import count_elim_forests
 from .forest import (
     RootedForest,
     attach_root,
@@ -62,10 +64,10 @@ def build_forest(
 
 
 def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
-    """The first vertex v whose removal leaves a positive exact count at
-    budget d-1, after a positive count of g itself at budget d."""
-    if count_elim_trees(g, t, d) == 0:
-        return None
+    """The first vertex v, in index order, whose removal leaves a positive
+    exact count at budget d-1, or the certified None when there is none.
+
+    t is validated only as each t-v is counted against g-v."""
     for v in range(g.n):
         if count_elim_forests(minus_vertex(g, v)[0], remove_vertex(t, v), d - 1) != 0:
             return v, d - 1
@@ -74,7 +76,8 @@ def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None
 
 def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | None:
     """Exact-ring self-reduction: an elimination forest of g of depth at most
-    d, or the certified verdict None."""
+    d, or the verdict None, certified by an exhausted root scan.  t is
+    validated per tried t-v, not against g as a whole."""
     return build_forest(g, t, d, find_root_exact)
 
 

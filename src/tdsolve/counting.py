@@ -35,15 +35,14 @@ bounded by the depth of T, frames share one skeleton and one mapping
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .forest import PrefixTree, RootedForest, induced_forest, restrict_to_components
 from .graph import Graph, connected_components
 from .polyring import ExactRing, poly_mul, poly_trim
 
 
-@dataclass(frozen=True)
-class SearchFrame:
+class SearchFrame(NamedTuple):
     """Snapshot of one recursion state, for diagnostics: current vertex, the
     skeleton's parent array, the mapping so far, and the reuse bitmask."""
 

@@ -9,8 +9,8 @@ immutable after construction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import nlargest
+from typing import NamedTuple
 
 
 class Graph:
@@ -66,11 +66,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
 class Matching:
     """Disjoint vertex pairs, each an edge of the host graph."""
 
-    edges: tuple
+    def __init__(self, edges: tuple):
+        self.edges = edges
 
     def __len__(self):
         return len(self.edges)
@@ -265,8 +265,7 @@ def greedy_maximal_matching(g: Graph) -> Matching:
     return Matching(tuple(out))
 
 
-@dataclass(frozen=True)
-class BodlaenderOutcome:
+class BodlaenderOutcome(NamedTuple):
     kind: str  # "matching" | "simplicial" | "too_deep"
     matching: Matching | None = None
     vertices: tuple = ()

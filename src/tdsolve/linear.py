@@ -11,7 +11,7 @@ impossible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import build_forest
 from .counting import count_elim_forests, count_elim_trees
@@ -34,8 +34,7 @@ from .graph import (
 from .polyring import ModularRing, mod_inverse, sample_prime
 
 
-@dataclass
-class LinearConfig:
+class LinearConfig(NamedTuple):
     """Tunables whose exact values the analysis leaves open.
 
     error_exponent scales the sampled prime (error probability falls
@@ -70,17 +69,25 @@ class LinearConfig:
         return min(raw, self.word_cap)
 
 
-@dataclass
 class RunContext:
     """Per-run state: the original vertex count, the one sampled prime, the
     configured randomness, and two counters for experiments."""
 
-    n_top: int
-    prime: int
-    cfg: LinearConfig
-    rng: random.Random
-    colorings_tried: int = 0
-    roots_found: int = 0
+    def __init__(
+        self,
+        n_top: int,
+        prime: int,
+        cfg: LinearConfig,
+        rng: random.Random,
+        colorings_tried: int = 0,
+        roots_found: int = 0,
+    ):
+        self.n_top = n_top
+        self.prime = prime
+        self.cfg = cfg
+        self.rng = rng
+        self.colorings_tried = colorings_tried
+        self.roots_found = roots_found
 
 
 def new_run_context(n: int, d: int, cfg: LinearConfig, rng: random.Random) -> RunContext:

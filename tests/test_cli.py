@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import tdsolve
 from tdsolve.cli import emit_pace_forest, main, parse_pace_forest, parse_pace_graph
 from tdsolve.forest import RootedForest, validate_elimination_forest
 
@@ -143,3 +148,12 @@ def test_cli_round_trip_solver_output(tmp_path, capsys):
     gpath = tmp_path / "g.gr"
     gpath.write_text(P3)
     assert main([str(gpath), "--validate", str(sol)]) == 0
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses pulls in inspect and its dependencies, which every CLI
+    # start would pay for
+    src = os.path.dirname(os.path.dirname(tdsolve.__file__))
+    code = "import sys, tdsolve.cli; sys.exit('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,9 +1,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdsolve.construct import construct_elim_forest, solve_deterministic
+from tdsolve.construct import construct_elim_forest, find_root_exact, solve_deterministic
 from tdsolve.forest import RootedForest, validate_elimination_forest
-from tdsolve.graph import dfs_elimination_forest
+from tdsolve.graph import dfs_elimination_forest, minus_vertex
 from tdsolve.oracle import (
     brute_td,
     clique,
@@ -74,6 +74,21 @@ def test_solve_matches_oracle_on_small_catalog():
             assert (f is not None) == (td <= d)
             if f is not None:
                 assert validate_elimination_forest(g, f, d)
+
+
+def test_root_scan_returns_first_feasible_root():
+    # None exactly when the budget is infeasible, otherwise the smallest v
+    # whose removal fits in d-1; the golden CLI outputs rely on this order
+    for g in connected_graphs_up_to(5):
+        td = brute_td(g)
+        t = dfs_elimination_forest(g)
+        for d in range(1, 5):
+            found = find_root_exact(g, t, d)
+            if td > d:
+                assert found is None
+            else:
+                v = next(v for v in range(g.n) if brute_td(minus_vertex(g, v)[0]) <= d - 1)
+                assert found == (v, d - 1)
 
 
 def test_chosen_roots_are_genuinely_feasible():
