@@ -8,9 +8,8 @@ recurses on g-v and attaches v as the root.  Solvers differ only in the
 finder they pass in.
 
 The exact scan counts only the graphs g-v: a connected g has depth at most d
-exactly when some g-v has depth at most d-1, so when the scan runs out the
-verdict None is certified (with the exact ring there are no false
-negatives), and no count of g itself is needed."""
+exactly when some g-v has depth at most d-1, so an exhausted scan certifies
+the verdict None (with the exact ring there are no false negatives)."""
 
 from __future__ import annotations
 

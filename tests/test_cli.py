@@ -156,4 +156,4 @@ def test_cli_import_skips_dataclasses():
     src = os.path.dirname(os.path.dirname(tdsolve.__file__))
     code = "import sys, tdsolve.cli; sys.exit('dataclasses' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
