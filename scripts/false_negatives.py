@@ -6,7 +6,11 @@ equals the budget, then solves each across many seeds and reports the
 fraction of wrong infeasibility verdicts.  Any emitted forest is re-validated
 on the spot, so a nonzero false-positive count would abort immediately.
 
-Usage: python scripts/false_negatives.py [--instances 200] [--seeds 50]
+Usage: python scripts/false_negatives.py [--instances 200] [--seeds 50] [--depths 2,3]
+
+--depths lists the budgets (each instance's treedepth) the corpus keeps; at
+d >= 4 the sampled prime is capped at LinearConfig.word_cap, below the bound
+the analysis asks for.
 """
 
 import argparse
@@ -50,9 +54,11 @@ def main() -> int:
     ap.add_argument("--instances", type=int, default=200)
     ap.add_argument("--seeds", type=int, default=50)
     ap.add_argument("--corpus-seed", type=int, default=808)
+    ap.add_argument("--depths", default="2,3",
+                    type=lambda s: tuple(int(x) for x in s.split(",")))
     args = ap.parse_args()
 
-    corpus = build_corpus(args.instances, args.corpus_seed)
+    corpus = build_corpus(args.instances, args.corpus_seed, depths=args.depths)
     cfg = LinearConfig()
     runs = fails = 0
     t0 = time.perf_counter()

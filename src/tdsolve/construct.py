@@ -24,7 +24,13 @@ from .forest import (
     remove_vertex,
     restrict_to_components,
 )
-from .graph import Graph, connected_components, minus_vertex, prefix_subgraph
+from .graph import (
+    Graph,
+    connected_components,
+    minus_vertex,
+    prefix_subgraph,
+    structurally_infeasible,
+)
 
 
 def build_forest(
@@ -83,14 +89,15 @@ def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | N
 def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
     """Exact-ring iterative compression: grow the graph one vertex at a time,
     repairing a depth-(d+1) tree into a depth-d forest at every step.  The
-    verdict None certifies that the treedepth exceeds d."""
+    verdict None certifies that the treedepth exceeds d: the structural
+    filter that may give it first, once per component, is sound."""
     if g.n == 0:
         return RootedForest([])
     if d < 1:
         return None
     parts = []
     for verts, sub, _ in connected_components(g):
-        f = _compress_component(sub, d)
+        f = None if structurally_infeasible(sub, d) else _compress_component(sub, d)
         if f is None:
             return None
         parts.append((verts, f))

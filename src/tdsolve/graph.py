@@ -1,6 +1,7 @@
 """Simple undirected graphs and the preprocessing steps the solvers consume:
-connectivity, DFS approximation forests, degree-bounded neighborhood
-improvement, maximal matchings and matching contraction.
+connectivity, DFS and centroid approximation forests, the structural
+filter, degree-bounded neighborhood improvement, maximal matchings and
+matching contraction.
 
 Vertices are 0-indexed; adjacency lists are sorted; Graph values are
 immutable after construction.
@@ -14,13 +15,14 @@ from typing import NamedTuple
 
 
 class Graph:
-    __slots__ = ("n", "adj", "m", "_adjsets")
+    __slots__ = ("n", "adj", "m", "_adjsets", "_lower_bound")
 
     def __init__(self, n: int, adj: list[list[int]], m: int):
         self.n = n
         self.adj = adj
         self.m = m
         self._adjsets = None
+        self._lower_bound = None
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -123,7 +125,10 @@ def prefix_subgraph(g: Graph, k: int) -> Graph:
 
 
 def connected_components(g: Graph) -> list[tuple[list[int], Graph, list[int]]]:
-    """Partition into components: (sorted vertex list, induced graph, new->old map)."""
+    """Partition into components: (sorted vertex list, induced graph, new->old map).
+
+    A connected g is its own only component, so a lower bound recorded on g
+    stays with it."""
     seen = [False] * g.n
     out = []
     for s in range(g.n):
@@ -140,6 +145,8 @@ def connected_components(g: Graph) -> list[tuple[list[int], Graph, list[int]]]:
                     comp.append(w)
                     stack.append(w)
         comp.sort()
+        if len(comp) == g.n:
+            return [(comp, g, list(comp))]
         sub, old_of_new = induced_subgraph(g, comp)
         out.append((comp, sub, old_of_new))
     return out
@@ -174,10 +181,94 @@ def dfs_elimination_forest(g: Graph):
     return RootedForest(parent)
 
 
+def centroid_forest(g: Graph):
+    """Heuristic elimination forest, built one component at a time: root the
+    component at the centroid of a DFS spanning tree (the vertex whose
+    largest remaining tree piece is smallest, ties to the smallest index),
+    then recurse on the components of what is left.
+
+    Always a valid elimination forest; each level costs O(n+m).  On a forest
+    the depth is at most floor(log2 n)+1.
+    """
+    from .forest import RootedForest
+
+    n, adj = g.n, g.adj
+    parent = [-1] * n
+    alive = [True] * n
+    mark = [-2] * n  # the centroid whose removal last split v off; -1 for the input
+    tparent = [-1] * n
+    size = [0] * n
+    big = [0] * n
+    # pending components, each a DFS preorder and its forest parent; they are
+    # disjoint, so they can share the scratch arrays
+    work = []
+
+    def split(starts, token):
+        for s in starts:
+            if not alive[s] or mark[s] == token:
+                continue
+            mark[s] = token
+            tparent[s] = -1
+            order = [s]
+            stack = [(s, iter(adj[s]))]
+            while stack:
+                u, it = stack[-1]
+                for w in it:
+                    if alive[w] and mark[w] != token:
+                        mark[w] = token
+                        tparent[w] = u
+                        order.append(w)
+                        stack.append((w, iter(adj[w])))
+                        break
+                else:
+                    stack.pop()
+            work.append((order, token))
+
+    split(range(n), -1)
+    while work:
+        order, p = work.pop()
+        for v in order:
+            size[v] = 1
+            big[v] = 0
+        for v in reversed(order):
+            u = tparent[v]
+            if u >= 0:
+                size[u] += size[v]
+                if size[v] > big[u]:
+                    big[u] = size[v]
+        total = len(order)
+        best = c = total
+        for v in order:
+            piece = max(total - size[v], big[v])
+            if piece < best or (piece == best and v < c):
+                best, c = piece, v
+        parent[c] = p
+        alive[c] = False
+        split(adj[c], c)
+    return RootedForest(parent)
+
+
 def treedepth_lower_bound(g: Graph) -> int:
     """Cheap sound lower bound: a DFS chain of D vertices is a path subgraph
     (so the treedepth is at least ceil(log2(D+1))), and a greedily grown
-    clique of size c forces treedepth at least c."""
+    clique of size c forces treedepth at least c.
+
+    Every call computes the bound and records it on g for
+    recorded_lower_bound.  Not reading the record here keeps a repeated
+    solve of one Graph object as costly as the first."""
+    g._lower_bound = _lower_bound(g)
+    return g._lower_bound
+
+
+def recorded_lower_bound(g: Graph) -> int:
+    """The bound treedepth_lower_bound last recorded on g; computed only when
+    none was."""
+    if g._lower_bound is None:
+        return treedepth_lower_bound(g)
+    return g._lower_bound
+
+
+def _lower_bound(g: Graph) -> int:
     if g.n == 0:
         return 0
     dfs_depth = dfs_elimination_forest(g).max_depth
@@ -194,6 +285,12 @@ def treedepth_lower_bound(g: Graph) -> int:
             common.intersection_update(g.adj[v])
         bound = max(bound, size)
     return max(bound, 1)
+
+
+def structurally_infeasible(g: Graph, d: int) -> bool:
+    """Sound structural rejection of a graph with at least two vertices:
+    more than d*n edges, or a path subgraph or clique certifying td > d."""
+    return g.n > 1 and (g.m > d * g.n or treedepth_lower_bound(g) > d)
 
 
 def improved_graph(g: Graph, d: int) -> Graph:

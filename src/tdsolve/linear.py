@@ -25,11 +25,13 @@ from .forest import (
 from .graph import (
     Graph,
     bodlaender_step,
+    centroid_forest,
     contract_matching,
     improved_graph,
     induced_subgraph,
     minus_vertex,
-    treedepth_lower_bound,
+    recorded_lower_bound,
+    structurally_infeasible,
 )
 from .polyring import ModularRing, mod_inverse, sample_prime
 
@@ -113,9 +115,10 @@ def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ModularRing) 
     """Smallest budget in 1..d with a nonzero (modular) tree count, or None;
     a modular zero can turn this into a false negative.
 
-    The scan starts at a sound structural lower bound: counts below it are
-    zero with certainty, so skipping them changes nothing but the cost."""
-    start = min(max(treedepth_lower_bound(g), 1), d + 1)
+    The scan starts at a sound structural lower bound, the one the structural
+    filter recorded on g when there is one: counts below it are zero with
+    certainty, so skipping them changes nothing but the cost."""
+    start = min(max(recorded_lower_bound(g), 1), d + 1)
     for dp in range(start, d + 1):
         if not ring.is_zero(count_elim_trees(g, t, dp, ring)):
             return dp
@@ -229,6 +232,16 @@ def colorcoding_root_finder(ctx: RunContext):
     return find_root
 
 
+def _build_over_shallower(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> RootedForest | None:
+    """build_forest with the color-coding finder, counting over the shallower
+    of t and the centroid forest of g (t on a tie): counting cost grows
+    steeply with the depth of the auxiliary forest, and any valid one will do."""
+    c = centroid_forest(g)
+    if c.max_depth < t.max_depth:
+        t = c
+    return build_forest(g, t, d, colorcoding_root_finder(ctx))
+
+
 def construct_linear(
     g: Graph,
     t: RootedForest,
@@ -238,9 +251,10 @@ def construct_linear(
 ) -> RootedForest | None:
     """Turn an auxiliary elimination forest of depth at most 2d into one of
     depth at most d, or report the budget infeasible (possibly a false
-    negative under the large-prime ring)."""
+    negative under the large-prime ring).  The counts run over the shallower
+    of t and the centroid forest of g."""
     ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))
-    return build_forest(g, t, d, colorcoding_root_finder(ctx))
+    return _build_over_shallower(g, t, d, ctx)
 
 
 def solve_randomized(
@@ -250,9 +264,10 @@ def solve_randomized(
     rng: random.Random | None = None,
 ) -> RootedForest | None:
     """Full randomized pipeline: edge-count filter, reduction by matching
-    contraction or simplicial removal, then linear construction on the
-    expanded auxiliary forest.  Never returns an invalid forest; None may be
-    a false negative (probability bounded by the modulus analysis)."""
+    contraction or simplicial removal, then linear construction over the
+    shallower of the expanded (or lifted) auxiliary forest and the centroid
+    forest.  Never returns an invalid forest; None may be a false negative
+    (probability bounded by the modulus analysis)."""
     cfg = cfg or LinearConfig()
     rng = rng or random.Random(0)
     if g.n == 0:
@@ -261,7 +276,7 @@ def solve_randomized(
         return None
     # structural rejections need no randomness, so they come before the
     # one-time prime draw
-    if _rejected(g, d):
+    if structurally_infeasible(g, d):
         return None
     ctx = new_run_context(g.n, d, cfg, rng)
     f = _solve(g, d, ctx)
@@ -270,15 +285,9 @@ def solve_randomized(
     return f
 
 
-def _rejected(g: Graph, d: int) -> bool:
-    """Sound structural rejection of a graph with at least two vertices:
-    more than d*n edges, or a path subgraph or clique certifying td > d."""
-    return g.n > 1 and (g.m > d * g.n or treedepth_lower_bound(g) > d)
-
-
 def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
-    """Reduction recursion on a graph that passed _rejected; each smaller
-    graph it makes is filtered before it recurses."""
+    """Reduction recursion on a graph that passed structurally_infeasible;
+    each smaller graph it makes is filtered before it recurses."""
     n = g.n
     if n == 0:
         return RootedForest([])
@@ -289,19 +298,15 @@ def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
         return None
     if step.kind == "matching":
         gm, cmap = contract_matching(g, step.matching)
-        sub = None if _rejected(gm, d) else _solve(gm, d, ctx)
-        if sub is None:
-            return None
-        t = expand_contracted_forest(sub, cmap, n)
-        return build_forest(g, t, d, colorcoding_root_finder(ctx))
-    g_imp = improved_graph(g, d)
-    lifted = set(step.vertices)
-    kept = [v for v in range(n) if v not in lifted]
-    h, old_of_new = induced_subgraph(g_imp, kept)
-    sub = None if _rejected(h, d) else _solve(h, d, ctx)
-    if sub is None:
-        return None
-    t = lift_simplicial(sub, old_of_new, g_imp, list(step.vertices), d)
+        sub = None if structurally_infeasible(gm, d) else _solve(gm, d, ctx)
+        t = None if sub is None else expand_contracted_forest(sub, cmap, n)
+    else:
+        g_imp = improved_graph(g, d)
+        lifted = set(step.vertices)
+        kept = [v for v in range(n) if v not in lifted]
+        h, old_of_new = induced_subgraph(g_imp, kept)
+        sub = None if structurally_infeasible(h, d) else _solve(h, d, ctx)
+        t = None if sub is None else lift_simplicial(sub, old_of_new, g_imp, list(step.vertices), d)
     if t is None:
         return None
-    return build_forest(g, t, d, colorcoding_root_finder(ctx))
+    return _build_over_shallower(g, t, d, ctx)

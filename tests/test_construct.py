@@ -66,6 +66,13 @@ def test_solve_k4_infeasible_below_four():
     assert f is not None and validate_elimination_forest(clique(4), f, 4)
 
 
+def test_solve_rejects_long_path_by_structural_filter():
+    # td(P_4096) = 13 > 8; without the filter the root scan would count
+    # thousands of prefixes before it could refuse
+    assert solve_deterministic(path(4096), 8) is None
+    assert solve_deterministic(disjoint_union(path(3), path(4096)), 8) is None
+
+
 def test_solve_matches_oracle_on_small_catalog():
     for g in connected_graphs_up_to(4):
         td = brute_td(g)

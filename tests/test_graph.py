@@ -6,12 +6,15 @@ from tdsolve.graph import (
     Graph,
     _simplicial_in,
     bodlaender_step,
+    centroid_forest,
     connected_components,
     contract_matching,
     dfs_elimination_forest,
     greedy_maximal_matching,
     improved_graph,
     induced_subgraph,
+    recorded_lower_bound,
+    structurally_infeasible,
     treedepth_lower_bound,
 )
 from tdsolve.forest import validate_elimination_forest
@@ -20,10 +23,13 @@ from tdsolve.oracle import (
     brute_td,
     clique,
     complete_bipartite,
+    connected_graphs_up_to,
     cycle,
+    disjoint_union,
     empty_graph,
     path,
     random_graph,
+    random_tree,
 )
 
 
@@ -68,6 +74,13 @@ def test_component_subgraphs_carry_index_maps():
             assert g.has_edge(old_of_new[u], old_of_new[v])
 
 
+def test_connected_graph_is_its_own_component():
+    g = random_tree(9, seed=3)
+    [(verts, sub, old_of_new)] = connected_components(g)
+    assert sub is g
+    assert verts == old_of_new == list(range(9))
+
+
 def test_dfs_forest_single_vertex():
     f = dfs_elimination_forest(empty_graph(1))
     assert f.roots == [0] and f.max_depth == 1
@@ -93,6 +106,40 @@ def test_dfs_forest_cycle_depth_within_exponential_bound():
 def test_dfs_forest_always_validates_at_exponential_budget(g):
     f = dfs_elimination_forest(g)
     assert validate_elimination_forest(g, f, 2 ** brute_td(g))
+
+
+def _assert_centroid_forest_valid(g):
+    f = centroid_forest(g)
+    assert f.n == g.n
+    assert validate_elimination_forest(g, f, f.max_depth)
+    return f
+
+
+def test_centroid_forest_validates_on_catalog():
+    for g in connected_graphs_up_to(6):
+        _assert_centroid_forest_valid(g)
+
+
+def test_centroid_forest_validates_on_random_graphs_and_unions():
+    for seed in range(40):
+        n = 2 + seed % 15
+        g = random_graph(n, min(seed % 23, n * (n - 1) // 2), seed)
+        _assert_centroid_forest_valid(g)
+        _assert_centroid_forest_valid(disjoint_union(g, cycle(5), empty_graph(2)))
+    assert centroid_forest(empty_graph(0)).n == 0
+
+
+def test_centroid_forest_on_trees_is_logarithmic():
+    trees = [path(n) for n in range(1, 40)] + [random_tree(n, seed) for n in range(2, 60) for seed in range(3)]
+    trees.append(disjoint_union(path(31), random_tree(20, 5)))
+    for g in trees:
+        f = _assert_centroid_forest_valid(g)
+        assert f.max_depth <= g.n.bit_length(), (g, f.max_depth)  # floor(log2 n) + 1
+
+
+def test_centroid_forest_roots_path_in_the_middle():
+    assert centroid_forest(path(7)).parent_array() == [1, 3, 1, -1, 5, 3, 5]
+    assert centroid_forest(path(4)).roots == [1]  # tie between 1 and 2 goes to the smaller index
 
 
 def test_improved_graph_triangle_unchanged():
@@ -221,10 +268,19 @@ def test_improvement_preserves_feasibility_n7(seed):
 
 
 def test_lower_bound_is_sound_on_catalog():
-    from tdsolve.oracle import connected_graphs_up_to
-
     for g in connected_graphs_up_to(5):
         assert treedepth_lower_bound(g) <= brute_td(g)
+
+
+def test_recorded_lower_bound_matches_fresh_computation():
+    for seed in range(30):
+        n = 3 + seed % 10
+        g = random_graph(n, min(seed % 17, n * (n - 1) // 2), seed)
+        fresh = Graph.from_edges(g.n, list(g.edges()))
+        structurally_infeasible(g, g.n)  # m <= d*n, so the filter computes the bound
+        assert g._lower_bound is not None
+        assert recorded_lower_bound(g) == treedepth_lower_bound(fresh)
+        assert recorded_lower_bound(fresh) == treedepth_lower_bound(fresh)
 
 
 def test_lower_bound_certifies_long_paths_and_cliques():

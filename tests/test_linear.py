@@ -3,7 +3,8 @@ import random
 from tdsolve.construct import solve_deterministic
 from tdsolve.counting import count_elim_trees
 from tdsolve.forest import RootedForest, validate_elimination_forest
-from tdsolve.graph import dfs_elimination_forest
+from tdsolve import linear
+from tdsolve.graph import centroid_forest, dfs_elimination_forest
 from tdsolve.linear import (
     LinearConfig,
     choose_modulus,
@@ -160,6 +161,44 @@ def test_solve_randomized_oracle_agreement_small():
 def test_solve_randomized_infeasible_paths_certified_quickly():
     # td(P_n) = ceil(log2(n+1)) exceeds 8 from n = 256 on
     assert solve_randomized(path(1024), 8, CFG, random.Random(1)) is None
+
+
+def test_solve_counts_over_the_shallower_forest(monkeypatch):
+    candidates, built = [], []
+
+    def recording(fn):
+        def wrapped(*args):
+            t = fn(*args)
+            candidates.append(t)
+            return t
+        return wrapped
+
+    def fake_build(g, t, d, find_root):
+        built.append((g, t, candidates[-1]))
+        return real_build(g, t, d, find_root)
+
+    real_build = linear.build_forest
+    monkeypatch.setattr(linear, "expand_contracted_forest", recording(linear.expand_contracted_forest))
+    monkeypatch.setattr(linear, "lift_simplicial", recording(linear.lift_simplicial))
+    monkeypatch.setattr(linear, "build_forest", fake_build)
+    for g, d in [(path(15), 4), (random_tree(12, 7), 3), (complete_bipartite(2, 5), 3)]:
+        assert solve_randomized(g, d, CFG, random.Random(3)) is not None
+    swapped = 0
+    for g, t, cand in built:
+        c = centroid_forest(g)
+        assert t.max_depth == min(c.max_depth, cand.max_depth)
+        if cand.max_depth <= c.max_depth:
+            assert t is cand  # a tie keeps the expanded or lifted forest
+        else:
+            swapped += 1
+    assert swapped and swapped < len(built)
+
+
+def test_solve_randomized_path15_within_budget():
+    g = path(15)
+    f = solve_randomized(g, 4, CFG, random.Random(0))
+    assert f is not None and f.max_depth <= 4
+    assert validate_elimination_forest(g, f, 4)
 
 
 def test_same_seed_same_forest():
