@@ -1,6 +1,7 @@
 """Construction driver shared by both solvers, and the deterministic solver:
-an exact root scan on top of the counting engine, wrapped in iterative
-compression so no auxiliary forest needs to be supplied.
+an exact root scan on top of the counting engine, guided by the centroid
+forest when it is shallow enough and otherwise wrapped in iterative
+compression, so no auxiliary forest needs to be supplied.
 
 The driver runs the self-reduction per connected component: a root finder
 names a vertex v whose removal leaves a feasible instance, the driver
@@ -26,6 +27,7 @@ from .forest import (
 )
 from .graph import (
     Graph,
+    centroid_forest,
     connected_components,
     minus_vertex,
     prefix_subgraph,
@@ -87,8 +89,11 @@ def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | N
 
 
 def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
-    """Exact-ring iterative compression: grow the graph one vertex at a time,
-    repairing a depth-(d+1) tree into a depth-d forest at every step.  The
+    """Exact-ring self-reduction per component, guided by the centroid forest
+    when its depth is at most d, and otherwise by iterative compression: grow
+    the graph one vertex at a time, repairing a depth-(d+1) tree into a
+    depth-d forest at every step.  Both give the same forest, since the exact
+    scan's choice of root does not depend on the auxiliary forest.  The
     verdict None certifies that the treedepth exceeds d: the structural
     filter that may give it first, once per component, is sound."""
     if g.n == 0:
@@ -105,6 +110,9 @@ def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
 
 
 def _compress_component(g: Graph, d: int) -> RootedForest | None:
+    c = centroid_forest(g)
+    if c.max_depth <= d:
+        return construct_elim_forest(g, c, d)
     f = RootedForest([])
     for i in range(g.n):
         f = construct_elim_forest(prefix_subgraph(g, i + 1), attach_root(f, i), d)

@@ -84,7 +84,9 @@ def count_elim_trees(
     is the sum of vertex weights over feasible roots, each weighted by the
     number of sensible trees rooted there.  `ring` selects exact or modular
     arithmetic; `cap` overrides the degree cap (default d * depth(t), which
-    is always sufficient).
+    is always sufficient).  A cap below min(d * depth(t), n + 1) raises
+    ValueError: it could cut off degrees the free term still needs, whereas
+    n + 1 is never reached, since a degree counts reused placements.
     """
     ring = ring or ExactRing()
     if g.n == 0:
@@ -107,7 +109,7 @@ def eval_h(
     the ring and without trailing zeros (the engine keeps it below the
     degree cap): its free term is the sensible-tree count, and the
     coefficient of the i-th power counts mappings with exactly i placement
-    collisions."""
+    collisions.  `cap` is checked as in count_elim_trees."""
     ring = ring or ExactRing()
     if g.n == 0:
         return (1,)
@@ -134,7 +136,8 @@ def _top_coefficients(
     k = t.max_depth
     if cap is None:
         cap = d * k
-    cap = max(cap, 1)
+    elif cap < min(d * k, n + 1):
+        raise ValueError(f"degree cap {cap} is below min(d * depth(t), n + 1) = {min(d * k, n + 1)}")
     mod = ring.modulus
 
     if weights is None:

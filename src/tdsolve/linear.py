@@ -112,17 +112,20 @@ def choose_modulus(r: int, n: int, d: int, sampled_prime: int, k: int) -> Modula
 
 
 def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ModularRing) -> int | None:
-    """Smallest budget in 1..d with a nonzero (modular) tree count, or None;
-    a modular zero can turn this into a false negative.
+    """The smallest budget below d with a nonzero (modular) tree count, else
+    d, or None when the structural lower bound exceeds d.  Budget d itself is
+    not counted: the color-coding finder counts the whole graph there only
+    when a color class needs it.
 
-    The scan starts at a sound structural lower bound, the one the structural
-    filter recorded on g when there is one: counts below it are zero with
-    certainty, so skipping them changes nothing but the cost."""
-    start = min(max(recorded_lower_bound(g), 1), d + 1)
-    for dp in range(start, d + 1):
+    The scan starts at the lower bound the structural filter recorded on g
+    (computed when there is none): counts below it are zero with certainty."""
+    start = max(recorded_lower_bound(g), 1)
+    if start > d:
+        return None
+    for dp in range(start, d):
         if not ring.is_zero(count_elim_trees(g, t, dp, ring)):
             return dp
-    return None
+    return d
 
 
 def _ring_for(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> ModularRing:
@@ -142,15 +145,22 @@ def _recover_index(num: int, den: int, ring: ModularRing) -> int | None:
     return num // den
 
 
-def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> int | None:
+def find_root_colorcoding(
+    g: Graph, t: RootedForest, d: int, ctx: RunContext, *, _unverified: bool = False
+) -> int | None:
     """Find some feasible root of a depth-d elimination tree of the connected
     graph g by random color isolation.
 
-    Each coloring round runs two weighted counts per non-empty color class
-    (an indicator weighting and an index weighting); when their ratio names a
-    vertex of that color, one more count of g minus that vertex certifies it.
-    Exhausting all retries (after the color-count doubling fallback) signals
-    a probable false negative to the caller.
+    Each coloring round tries its color classes from the smallest up.  A
+    class of two or more runs two weighted counts (an indicator weighting and
+    an index weighting) whose ratio names a vertex of that color; a singleton
+    names its vertex outright.  One count of g minus that vertex at d-1
+    certifies it.  Exhausting all retries (after the color-count doubling
+    fallback) signals a probable false negative to the caller.
+
+    With _unverified (g's count at d is not yet known to be nonzero), that
+    count is made once, before the first class of two or more, and a zero
+    returns None.
     """
     n = g.n
     if n == 1:
@@ -169,6 +179,10 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
                 classes.setdefault(c, []).append(v)
             order = sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))
             for c, members in order:
+                if _unverified and len(members) > 1:
+                    if ring.is_zero(count_elim_trees(g, t, d, ring)):
+                        return None
+                    _unverified = False
                 root = _try_color(g, t, d, coloring, c, members, ring, ctx)
                 if root is not None:
                     ctx.roots_found += 1
@@ -219,14 +233,17 @@ def _try_color(
 
 
 def colorcoding_root_finder(ctx: RunContext):
-    """Root finder for build_forest: the exact depth d* <= d of g under the
-    run's modular counts, then a color-coded root of a depth-d* tree."""
+    """Root finder for build_forest: the budget d* <= d from
+    determine_exact_depth, then a color-coded root of a depth-d* tree.  When
+    d* = d, g's own count at d is left to the color coding: every root it
+    returns is certified through g-v, so that count is needed only before
+    a class of two or more."""
 
     def find_root(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
         dstar = determine_exact_depth(g, t, d, _ring_for(g, t, d, ctx))
         if dstar is None:
             return None
-        root = find_root_colorcoding(g, t, dstar, ctx)
+        root = find_root_colorcoding(g, t, dstar, ctx, _unverified=dstar == d)
         return None if root is None else (root, dstar - 1)
 
     return find_root

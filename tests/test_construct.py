@@ -1,9 +1,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdsolve import construct
 from tdsolve.construct import construct_elim_forest, find_root_exact, solve_deterministic
-from tdsolve.forest import RootedForest, validate_elimination_forest
-from tdsolve.graph import dfs_elimination_forest, minus_vertex
+from tdsolve.forest import RootedForest, attach_root, validate_elimination_forest
+from tdsolve.graph import centroid_forest, dfs_elimination_forest, minus_vertex, prefix_subgraph
 from tdsolve.oracle import (
     brute_td,
     clique,
@@ -96,6 +97,44 @@ def test_root_scan_returns_first_feasible_root():
             else:
                 v = next(v for v in range(g.n) if brute_td(minus_vertex(g, v)[0]) <= d - 1)
                 assert found == (v, d - 1)
+
+
+def compress(g, d):
+    """Iterative compression on its own: a depth-(d+1) tree of each prefix
+    repaired into a depth-d forest, one vertex at a time."""
+    f = RootedForest([])
+    for i in range(g.n):
+        f = construct_elim_forest(prefix_subgraph(g, i + 1), attach_root(f, i), d)
+        if f is None:
+            return None
+    return f
+
+
+def test_solve_skips_compression_when_the_centroid_forest_fits(monkeypatch):
+    # the exact scan picks the same roots over any auxiliary forest, so one
+    # construction over a centroid forest of depth <= d gives the forest that
+    # compression gives
+    prefixes = []
+    real_prefix = construct.prefix_subgraph
+
+    def recording(g, k):
+        prefixes.append(k)
+        return real_prefix(g, k)
+
+    monkeypatch.setattr(construct, "prefix_subgraph", recording)
+    fits = compressed = 0
+    for g in connected_graphs_up_to(6):
+        depth = centroid_forest(g).max_depth
+        for d in range(1, 6):
+            prefixes.clear()
+            f = solve_deterministic(g, d)
+            if depth <= d:
+                assert not prefixes
+                fits += 1
+            elif prefixes:
+                compressed += 1
+            assert f == compress(g, d)
+    assert fits and compressed
 
 
 def test_chosen_roots_are_genuinely_feasible():

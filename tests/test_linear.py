@@ -194,6 +194,59 @@ def test_solve_counts_over_the_shallower_forest(monkeypatch):
     assert swapped and swapped < len(built)
 
 
+def record_finder_counts(monkeypatch):
+    """Per call of the color-coding finder: the level graph's size, the
+    budget, the result and the (n, d, weighted?) of each count_elim_trees
+    call it made (certifications go through count_elim_forests)."""
+    calls, finds = [], []
+    real_count = linear.count_elim_trees
+    real_finder = linear.colorcoding_root_finder
+
+    def counting(g, t, d, ring=None, weights=None, *args):
+        calls.append((g.n, d, weights is not None))
+        return real_count(g, t, d, ring, weights, *args)
+
+    def finder(ctx):
+        find_root = real_finder(ctx)
+
+        def wrapped(g, t, d):
+            start = len(calls)
+            found = find_root(g, t, d)
+            finds.append((g.n, d, found, calls[start:]))
+            return found
+        return wrapped
+
+    monkeypatch.setattr(linear, "count_elim_trees", counting)
+    monkeypatch.setattr(linear, "colorcoding_root_finder", finder)
+    return finds
+
+
+def test_finder_counts_level_graph_at_d_only_for_a_larger_class(monkeypatch):
+    finds = record_finder_counts(monkeypatch)
+    for g, d in [(path(15), 4), (random_tree(12, 7), 3), (cycle(8), 4), (complete_bipartite(2, 5), 3)]:
+        assert solve_randomized(g, d, CFG, random.Random(3)) is not None
+    by_singleton = by_class = 0
+    for n, d, found, made in finds:
+        whole = [i for i, c in enumerate(made) if c == (n, d, False)]
+        weighted = [i for i, c in enumerate(made) if c[2]]
+        assert len(whole) <= 1
+        if found is not None and found[1] == d - 1 and not weighted:
+            assert not whole  # a singleton class certified its vertex
+            by_singleton += 1
+        if whole:
+            assert not weighted or whole[0] < weighted[0]
+            by_class += 1
+    assert by_singleton and by_class
+
+
+def test_infeasible_level_refuted_by_one_count_at_d(monkeypatch):
+    finds = record_finder_counts(monkeypatch)
+    assert solve_randomized(cycle(12), 4, CFG, random.Random(0)) is None  # td(C12) = 5
+    n, d, found, made = finds[-1]
+    assert (n, d, found) == (12, 4, None)
+    assert made.count((12, 4, False)) == 1 and not any(c[2] for c in made)
+
+
 def test_solve_randomized_path15_within_budget():
     g = path(15)
     f = solve_randomized(g, 4, CFG, random.Random(0))
