@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Time the solver on a few named heavy cases, optionally for two trees.
+
+    python scripts/time_cases.py [--src DIR] [--src DIR2] [--runs 3] [--case NAME ...] [--seed 0]
+
+Each run of a case is one child process that imports tdsolve from the given
+`src` directory (default: the one next to this script), builds the graph and
+measures the CPU time of one solve.  With two --src trees, the runs alternate
+between them, so a drift in machine speed hits both alike.  The table gives,
+per case and tree, the minimum CPU time over the runs and the depth of the
+forest found ("none" for an infeasible verdict).
+
+Cases (randomized solves use random.Random(seed)):
+  rand-path23-d5      solve_randomized(path(23), 5)
+  rand-cycle12-d5     solve_randomized(cycle(12), 5)
+  rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible
+  det-cycle12-d5      solve_deterministic(cycle(12), 5)
+  det-path15-d4       solve_deterministic(path(15), 4)
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CASES = {
+    "rand-path23-d5": ("randomized", "path", 23, 5),
+    "rand-cycle12-d5": ("randomized", "cycle", 12, 5),
+    "rand-cycle12-d4": ("randomized", "cycle", 12, 4),
+    "det-cycle12-d5": ("deterministic", "cycle", 12, 5),
+    "det-path15-d4": ("deterministic", "path", 15, 4),
+}
+
+
+def child(src: str, name: str, seed: int) -> None:
+    """Run one case once in this process and print its CPU time and depth."""
+    import random
+    import time
+
+    sys.path.insert(0, os.path.abspath(src))
+    from tdsolve import oracle
+    from tdsolve.construct import solve_deterministic
+    from tdsolve.linear import solve_randomized
+
+    if not os.path.abspath(oracle.__file__).startswith(os.path.abspath(src) + os.sep):
+        raise SystemExit(f"imported tdsolve from {oracle.__file__}, not from {src}")
+    mode, shape, n, d = CASES[name]
+    g = getattr(oracle, shape)(n)
+    start = time.process_time()
+    if mode == "randomized":
+        f = solve_randomized(g, d, rng=random.Random(seed))
+    else:
+        f = solve_deterministic(g, d)
+    cpu = time.process_time() - start
+    print(json.dumps({"cpu": cpu, "depth": None if f is None else f.max_depth}))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", action="append", help="a tdsolve src directory; give it once or twice")
+    ap.add_argument("--runs", type=int, default=3, help="runs per case and tree (default 3)")
+    ap.add_argument("--case", action="append", choices=sorted(CASES), help="a case to time (default: all)")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    srcs = args.src or [os.path.join(ROOT, "src")]
+    if args.child:
+        child(srcs[0], args.child, args.seed)
+        return 0
+    if len(srcs) > 2:
+        ap.error("give --src at most twice")
+    names = args.case or list(CASES)
+
+    best: dict = {}
+    depth: dict = {}
+    for _ in range(args.runs):
+        for name in names:
+            for src in srcs:
+                cmd = [sys.executable, os.path.abspath(__file__), "--child", name, "--src", src, "--seed", str(args.seed)]
+                got = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+                key = (name, src)
+                best[key] = min(best.get(key, got["cpu"]), got["cpu"])
+                depth.setdefault(key, set()).add(got["depth"])
+
+    print(f"minimum CPU seconds of {args.runs} runs, depth of the forest found")
+    for i, src in enumerate(srcs):
+        print(f"  [{i}] {src}")
+    for name in names:
+        cells = []
+        for src in srcs:
+            found = depth[(name, src)]
+            shown = "/".join("none" if x is None else str(x) for x in sorted(found, key=str))
+            cells.append(f"{best[(name, src)]:8.3f} s  depth {shown:4}")
+        print(f"{name:18} " + "   ".join(cells).rstrip())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

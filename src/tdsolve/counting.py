@@ -4,9 +4,9 @@ The counter walks an auxiliary elimination tree T of the (connected) input
 graph top-down and maintains a small skeleton tree K into which the already
 processed vertices are mapped.  Two mutually recursive evaluations cooperate:
 
-* placed(u): u's image is fixed; leaves contribute 1 (edge constraints are
-  enforced incrementally at placement time), internal vertices contribute the
-  product over their T-children of pending(child).
+* placed(u): u's image is fixed; an internal vertex contributes the
+  product over its T-children of pending(child) (edge constraints are
+  enforced incrementally at placement time).
 * pending(u): sums over all ways to place u — either reusing an allowed
   skeleton vertex (which costs one power of the formal variable, and picks up
   u's weight when the image is the skeleton root), or hanging a fresh
@@ -27,6 +27,12 @@ every edge), and a fresh chain longer than u's remaining subtree is skipped
 because its interior could never be fully covered.  Degrees at or above the
 cap d*depth(T) cannot feed back into the free term, so coefficient lists
 stay short.
+
+pending(u) picks its moves by bitmask: the skeleton keeps ancestor and
+descendant masks, so one AND per placed ancestor-neighbour of u gives the
+reusable images and the attachment points for fresh chains.  A leaf u of T
+needs no recursion at all: each allowed move contributes exactly one
+mapping, so its polynomial is the two popcounts of those masks.
 
 Everything runs in space polynomial in the input: the recursion depth is
 bounded by the depth of T, frames share one skeleton and one mapping
@@ -146,6 +152,11 @@ def _top_coefficients(
         if len(weights) != n:
             raise ValueError("need one weight per vertex")
         wts = [ring.normalize(w) for w in weights]
+    if check_bounds and (mod is not None or any(w != 1 for w in wts)):
+        raise ValueError("coefficient bounds are certified for exact unweighted runs only")
+    if n == 1:
+        # one vertex: its weight is the whole count, with none of the set-up
+        return [wts[0]]
 
     children: list[tuple] = [tuple(t.children(v)) for v in range(n)]
     tree_size = t.subtree_sizes()
@@ -157,21 +168,16 @@ def _top_coefficients(
         tail = t.tail(u, strict=True)
         anc_nbrs.append(tuple(w for w in g.adj[u] if w in tail))
 
-    skeleton = PrefixTree()
+    skeleton = PrefixTree(limit=d)
     kparent = skeleton.parent
     kdepth = skeleton.depth
     kanc = skeleton.anc
+    kdesc = skeleton.desc
     phi = [-1] * n
-
-    popcnt = [0] * (1 << max(d - 1, 1))
-    for i in range(1, len(popcnt)):
-        popcnt[i] = popcnt[i >> 1] + (i & 1)
 
     bound_limits = None
     bound_base = d * k * (1 << d)
     if check_bounds:
-        if mod is not None or any(w != 1 for w in wts):
-            raise ValueError("coefficient bounds are certified for exact unweighted runs only")
         bound_limits = [bound_base ** tree_size[u] for u in range(n)]
 
     def check_coeffs(u: int, coeffs: list, limit: int, allowed: int) -> None:
@@ -183,9 +189,7 @@ def _top_coefficients(
                 raise CoefficientBoundError(frame, coeffs, limit)
 
     def placed(u: int, allowed: int) -> list:
-        kids = children[u]
-        if not kids:
-            return [1]
+        kids = children[u]  # never empty: pending() closes off the leaves
         acc = pending(kids[0], allowed)
         for v in kids[1:]:
             if not acc:
@@ -219,7 +223,7 @@ def _top_coefficients(
                     val = [c * weight for c in val]
                 if len(inner) < len(val):
                     inner.extend([0] * (len(val) - len(inner)))
-                if (interior - popcnt[bm]) & 1:
+                if (interior - bm.bit_count()) & 1:
                     for i, c in enumerate(val):
                         inner[i] -= c
                 else:
@@ -236,58 +240,56 @@ def _top_coefficients(
         skeleton.truncate(base)
 
     def pending(u: int, allowed: int) -> list:
-        out: list = []
-        cons = [phi[nb] for nb in anc_nbrs[u]]
+        # u must be comparable with the image c of each ancestor-neighbour:
+        # a reused image must lie above or below every c; a fresh tip is
+        # comparable only with the ancestors of its attachment point, which
+        # must lie below every c, at a depth less than d
+        reuse = allowed
+        attach = ((1 << len(kparent)) - 1) & ~skeleton.full
+        for nb in anc_nbrs[u]:
+            c = phi[nb]
+            below = kdesc[c]
+            reuse &= kanc[c] | below
+            attach &= below
         weight = wts[u]
         rem = tree_size[u]
 
-        # reuse moves
-        rembits = allowed
-        while rembits:
-            bit = rembits & -rembits
-            rembits ^= bit
-            kv = bit.bit_length() - 1
-            akv = kanc[kv]
-            ok = True
-            for c in cons:
-                if not ((akv >> c) & 1 or (kanc[c] >> kv) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            phi[u] = kv
-            val = placed(u, allowed)
-            phi[u] = -1
-            if val:
-                need = len(val) + 1
-                if len(out) < need:
-                    out.extend([0] * (need - len(out)))
-                if kv == 0 and weight != 1:
-                    for i, c in enumerate(val):
-                        out[i + 1] += c * weight
-                else:
-                    for i, c in enumerate(val):
-                        out[i + 1] += c
-        del out[cap:]
+        if rem == 1:
+            # a leaf of t: placed() is [1], and a fresh tip is never skeleton
+            # index 0, which the root of t took; cap >= 2 because t has depth
+            # at least 2 here
+            out = [attach.bit_count(), reuse.bit_count()]
+            if reuse & 1:
+                out[1] += weight - 1
+        else:
+            out = []
+            # reuse moves
+            while reuse:
+                bit = reuse & -reuse
+                reuse ^= bit
+                kv = bit.bit_length() - 1
+                phi[u] = kv
+                val = placed(u, allowed)
+                phi[u] = -1
+                if val:
+                    need = len(val) + 1
+                    if len(out) < need:
+                        out.extend([0] * (need - len(out)))
+                    if kv == 0 and weight != 1:
+                        for i, c in enumerate(val):
+                            out[i + 1] += c * weight
+                    else:
+                        for i, c in enumerate(val):
+                            out[i + 1] += c
+            del out[cap:]
 
-        # fresh chains, no longer than the remaining subtree can cover
-        for w in range(len(kparent)):
-            maxp = d - kdepth[w]
-            if maxp > rem:
-                maxp = rem
-            if maxp < 1:
-                continue
-            aw = kanc[w]
-            ok = True
-            for c in cons:
-                if not ((aw >> c) & 1):
-                    ok = False
-                    break
-            if not ok:
-                # a fresh tip is comparable only with ancestors of the
-                # attachment point, so no chain below w can ever work
-                continue
-            fresh(u, w, maxp, allowed, out)
+            # fresh chains, no longer than the remaining subtree can cover
+            while attach:
+                bit = attach & -attach
+                attach ^= bit
+                w = bit.bit_length() - 1
+                maxp = d - kdepth[w]
+                fresh(u, w, maxp if maxp < rem else rem, allowed, out)
 
         if mod is not None:
             out = [c % mod for c in out]

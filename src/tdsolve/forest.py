@@ -1,7 +1,7 @@
 """Rooted forests on dense 0-indexed vertex sets: ancestor machinery,
-elimination-forest validation, the sensibility test, and the surgeries used
-by both solver drivers (component restriction, vertex removal, root
-attachment, contraction expansion, simplicial lifting).
+elimination-forest validation, the counter's skeleton tree, and the
+surgeries used by both solver drivers (component restriction, vertex
+removal, root attachment, contraction expansion, simplicial lifting).
 
 Forests are immutable after construction.  Operations that shrink or grow
 the vertex set reindex it the same way graph operations do: surviving
@@ -83,32 +83,6 @@ class RootedForest:
             u = self._parent[u]
         return out
 
-    def tree(self, v: int, strict: bool = False) -> set:
-        """Descendants of v, including v unless strict."""
-        out = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.add(u)
-            stack.extend(self._children[u])
-        if strict:
-            out.discard(v)
-        return out
-
-    def comp(self, v: int) -> set:
-        """Vertices comparable with v: its ancestors and descendants."""
-        return self.tail(v) | self.tree(v)
-
-    def closure(self, vs) -> set:
-        """Ancestor closure: union of tails."""
-        out = set()
-        for v in vs:
-            u = v
-            while u >= 0 and u not in out:
-                out.add(u)
-                u = self._parent[u]
-        return out
-
     def subtree_sizes(self) -> list[int]:
         size = [1] * self.n
         order = sorted(range(self.n), key=lambda v: -self._depth[v])
@@ -130,16 +104,21 @@ class RootedForest:
 
 class PrefixTree:
     """Small rooted skeleton tree with its own index space, grown and shrunk
-    by appending and popping downward chains.  Ancestor sets are kept as
-    bitmasks (each at most a few machine words for realistic depth budgets).
+    by appending and popping downward chains.  Ancestor and descendant sets
+    are kept as bitmasks (each at most a few machine words for realistic
+    depth budgets), and `full` is the bitmask of the vertices at depth
+    `limit` or deeper, below which no chain may be hung.
     """
 
-    __slots__ = ("parent", "depth", "anc")
+    __slots__ = ("parent", "depth", "anc", "desc", "full", "limit")
 
-    def __init__(self):
+    def __init__(self, limit: int):
         self.parent: list[int] = []
         self.depth: list[int] = []
         self.anc: list[int] = []  # bitmask of ancestors including self
+        self.desc: list[int] = []  # bitmask of descendants including self
+        self.full = 0
+        self.limit = limit
 
     def __len__(self):
         return len(self.parent)
@@ -147,20 +126,35 @@ class PrefixTree:
     def add_child(self, w: int | None) -> int:
         """Append a vertex below w (a new root when w is None); returns its index."""
         idx = len(self.parent)
+        bit = 1 << idx
         if w is None:
             self.parent.append(-1)
             self.depth.append(1)
-            self.anc.append(1 << idx)
+            self.anc.append(bit)
         else:
             self.parent.append(w)
             self.depth.append(self.depth[w] + 1)
-            self.anc.append(self.anc[w] | (1 << idx))
+            self.anc.append(self.anc[w] | bit)
+        self.desc.append(bit)
+        desc, parent = self.desc, self.parent
+        while w is not None and w >= 0:
+            desc[w] |= bit
+            w = parent[w]
+        if self.depth[idx] >= self.limit:
+            self.full |= bit
         return idx
 
     def truncate(self, length: int) -> None:
+        """Drop every vertex with index length or more."""
         del self.parent[length:]
         del self.depth[length:]
         del self.anc[length:]
+        del self.desc[length:]
+        keep = (1 << length) - 1
+        desc = self.desc
+        for i in range(length):
+            desc[i] &= keep
+        self.full &= keep
 
     def related(self, a: int, b: int) -> bool:
         return bool((self.anc[a] >> b) & 1 or (self.anc[b] >> a) & 1)
@@ -341,19 +335,3 @@ def lift_simplicial(
         return None
     return RootedForest(parent)
 
-
-def check_sensible(g: Graph, t: RootedForest, r: RootedForest) -> bool:
-    """True iff for every vertex u and every pair of distinct children v1, v2
-    of u in t, the r-closures of the vertices comparable with v1 and with v2
-    intersect exactly in the r-closure of u's ancestor path."""
-    for u in range(g.n):
-        kids = t.children(u)
-        if len(kids) < 2:
-            continue
-        base = r.closure(t.tail(u))
-        closures = [r.closure(t.comp(v)) for v in kids]
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                if closures[i] & closures[j] != base:
-                    return False
-    return True

@@ -1,6 +1,7 @@
-"""Test-only ground truth: brute-force treedepth, exhaustive enumeration of
-sensible bounded-depth elimination trees, instance generators, and a small
-isomorphism-free catalog of connected graphs.
+"""Test-only ground truth: brute-force treedepth, the sensibility test with
+its forest helpers, exhaustive enumeration of sensible bounded-depth
+elimination trees, instance generators, and a small isomorphism-free catalog
+of connected graphs.
 
 The brute-force routines deliberately trade space for simplicity (subset
 memoization); they are capped at sizes where that is harmless.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from .forest import RootedForest, check_sensible
+from .forest import RootedForest
 from .graph import Graph
 
 _BRUTE_TD_CAP = 20
@@ -134,6 +135,50 @@ def all_elimination_trees(g: Graph, d: int):
                 break
             idx[v] = 0
             parent[v] = choices[v][0]
+
+
+def descendants(f: RootedForest, v: int) -> set:
+    """Descendants of v in f, v included."""
+    out = set()
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        out.add(u)
+        stack.extend(f.children(u))
+    return out
+
+
+def comparable(f: RootedForest, v: int) -> set:
+    """Vertices comparable with v in f: its ancestors and descendants."""
+    return f.tail(v) | descendants(f, v)
+
+
+def closure(f: RootedForest, vs) -> set:
+    """Ancestor closure in f: union of tails."""
+    out = set()
+    for v in vs:
+        u = v
+        while u is not None and u not in out:
+            out.add(u)
+            u = f.parent(u)
+    return out
+
+
+def check_sensible(g: Graph, t: RootedForest, r: RootedForest) -> bool:
+    """True iff for every vertex u and every pair of distinct children v1, v2
+    of u in t, the r-closures of the vertices comparable with v1 and with v2
+    intersect exactly in the r-closure of u's ancestor path."""
+    for u in range(g.n):
+        kids = t.children(u)
+        if len(kids) < 2:
+            continue
+        base = closure(r, t.tail(u))
+        closures = [closure(r, comparable(t, v)) for v in kids]
+        for i in range(len(kids)):
+            for j in range(i + 1, len(kids)):
+                if closures[i] & closures[j] != base:
+                    return False
+    return True
 
 
 def brute_count_sensible(g: Graph, t: RootedForest, d: int) -> int:

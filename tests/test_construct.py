@@ -9,6 +9,7 @@ from tdsolve.oracle import (
     brute_td,
     clique,
     connected_graphs_up_to,
+    descendants,
     disjoint_union,
     empty_graph,
     path,
@@ -144,7 +145,7 @@ def test_chosen_roots_are_genuinely_feasible():
         f = solve_deterministic(g, td)
         assert f is not None
         for r in f.roots:
-            comp = sorted(f.tree(r))
+            comp = sorted(descendants(f, r))
             if len(comp) == 1:
                 continue
             from tdsolve.graph import induced_subgraph, minus_vertex

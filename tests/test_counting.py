@@ -224,3 +224,108 @@ def test_bound_checking_requires_exact_unweighted():
         count_elim_trees(g, chain(2), 2, ring=ModularRing(7, prime=True), check_bounds=True)
     with pytest.raises(ValueError):
         count_elim_trees(g, chain(2), 2, weights=[1, 2], check_bounds=True)
+
+
+# eval_h pinned as literals, recorded before pending() picked its moves by
+# bitmask: (label, n, edges, parent array of t, d, weights, coefficients).  Weights: "exact" is unweighted over the integers, "index"
+# gives vertex v the weight v + 1, "mod" does the same under ModularRing
+# (1000003), and "01" gives vertex v the weight v % 2.  The kite and wheel
+# cases have leaves of t with two or three ancestor-neighbours; in the stars
+# every non-root vertex of t is a leaf.
+PINNED_EVAL_H = [
+    ("P2 chain", 2, [(0, 1)],
+     [-1, 0], 2, "exact", (2, 1)),
+    ("P4 chain", 4, [(0, 1), (1, 2), (2, 3)],
+     [-1, 0, 1, 2], 3, "exact", (10, 41, 14, 1)),
+    ("P5 dfs", 5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+     [-1, 0, 1, 2, 3], 3, "exact", (8, 89, 168, 30, 1)),
+    ("P7 centroid", 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)],
+     [1, 3, 1, -1, 5, 3, 5], 3, "exact", (1, 80, 595, 1331, 982, 75, 1)),
+    ("C5 dfs", 5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)],
+     [-1, 0, 1, 2, 3], 4, "exact", (50, 290, 160, 30, 1)),
+    ("C6 dfs", 6, [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)],
+     [-1, 0, 1, 2, 3, 4], 4, "exact", (48, 810, 1898, 576, 62, 1)),
+    ("K4 chain", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+     [-1, 0, 1, 2], 4, "exact", (24, 36, 14, 1)),
+    ("K23 dfs", 5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)],
+     [-1, 2, 0, 1, 1], 3, "exact", (2, 33, 148, 29, 1)),
+    ("rand7 dfs", 7, [(0, 1), (0, 2), (0, 6), (1, 5), (2, 4), (2, 5), (3, 6), (4, 5), (5, 6)],
+     [-1, 0, 5, 6, 2, 1, 5], 4, "exact", (24, 840, 5170, 8336, 1665, 117, 1)),
+    ("tree8 centroid", 8, [(0, 1), (0, 2), (0, 6), (1, 3), (3, 4), (4, 5), (4, 7)],
+     [1, -1, 0, 4, 1, 4, 0, 4], 3, "exact", (2, 106, 961, 3327, 4933, 2865, 144, 1)),
+    ("kite branch", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+     [-1, 0, 1, 1], 3, "exact", (2, 33, 13, 1)),
+    ("kite branch d4", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+     [-1, 0, 1, 1], 4, "exact", (22, 33, 13, 1)),
+    ("wheelish", 5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)],
+     [-1, 0, 1, 2, 2], 4, "exact", (26, 248, 147, 29, 1)),
+    ("wheelish d3", 5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)],
+     [-1, 0, 1, 2, 2], 3, "exact", (0, 26, 147, 29, 1)),
+    ("star5", 5, [(0, 1), (0, 2), (0, 3), (0, 4)],
+     [-1, 0, 0, 0, 0], 2, "exact", (1, 4, 6, 4)),
+    ("star5 d3", 5, [(0, 1), (0, 2), (0, 3), (0, 4)],
+     [-1, 0, 0, 0, 0], 3, "exact", (5, 22, 84, 19, 1)),
+    ("star6 weighted", 6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)],
+     [-1, 0, 0, 0, 0, 0], 2, "index", (1, 20, 155, 580)),
+    ("star5 mod", 5, [(0, 1), (0, 2), (0, 3), (0, 4)],
+     [-1, 0, 0, 0, 0], 3, "mod", (15, 127, 874, 513, 120)),
+    ("star5 01", 5, [(0, 1), (0, 2), (0, 3), (0, 4)],
+     [-1, 0, 0, 0, 0], 3, "01", (2, 7, 25, 3)),
+    ("C5 mod", 5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)],
+     [-1, 0, 1, 2, 3], 3, "mod", (0, 280, 1315, 599, 120)),
+    ("K4 mod", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+     [-1, 0, 1, 2], 4, "mod", (60, 130, 95, 24)),
+    ("kite mod", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+     [-1, 0, 1, 1], 3, "mod", (3, 125, 93, 24)),
+    ("rand8 mod", 8, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 5), (2, 4), (2, 5), (2, 7), (3, 4), (5, 6), (5, 7)],
+     [-1, 0, 5, 4, 2, 1, 5, 2], 4, "mod", (8, 11354, 218290, 298495, 636738, 179445, 312839, 40320)),
+    ("P6 mod", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+     [-1, 0, 1, 2, 3, 4], 3, "mod", (14, 861, 6544, 12812, 4319, 720)),
+    ("C5 01", 5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)],
+     [-1, 0, 1, 2, 3], 4, "01", (20, 92, 35, 3)),
+    ("kite 01", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+     [-1, 0, 1, 1], 4, "01", (11, 13, 3)),
+    ("wheelish 01", 5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)],
+     [-1, 0, 1, 2, 2], 4, "01", (8, 78, 33, 3)),
+    ("P6 centroid 01", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+     [2, 0, -1, 4, 2, 4], 3, "01", (2, 41, 142, 110, 7)),
+    ("rand7 01", 7, [(0, 1), (0, 4), (0, 6), (1, 4), (2, 3), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)],
+     [3, 4, 3, -1, 0, 4, 4], 4, "01", (3, 71, 570, 907, 119, 3)),
+    ("C6 index", 6, [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)],
+     [-1, 0, 1, 2, 3, 4], 3, "index", (0, 283, 4709, 12350, 4319, 720)),
+]
+
+
+@pytest.mark.parametrize(
+    "label,n,edges,parents,d,mode,expected", PINNED_EVAL_H, ids=[c[0] for c in PINNED_EVAL_H]
+)
+def test_eval_h_pinned(label, n, edges, parents, d, mode, expected):
+    g = Graph.from_edges(n, edges)
+    t = RootedForest(parents)
+    ring = ModularRing(1000003, prime=True) if mode == "mod" else None
+    weights = None
+    if mode in ("index", "mod"):
+        weights = [v + 1 for v in range(n)]
+    elif mode == "01":
+        weights = [v % 2 for v in range(n)]
+    assert eval_h(g, t, d, ring, weights) == expected
+
+
+def test_single_vertex_is_its_weight_and_keeps_the_checks():
+    g = empty_graph(1)
+    ring = ModularRing(7, prime=True)
+    for d in (1, 3):
+        assert count_elim_trees(g, chain(1), d, ring, weights=[9]) == 2
+        assert eval_h(g, chain(1), d, ring, weights=[9]) == (2,)
+        assert count_elim_trees(g, chain(1), d, ring, weights=[7]) == 0
+        assert eval_h(g, chain(1), d, ring, weights=[7]) == ()
+        assert count_elim_trees(g, chain(1), d, weights=[0]) == 0
+        assert count_elim_trees(g, chain(1), d) == 1
+    with pytest.raises(ValueError):
+        count_elim_trees(g, chain(2), 2)
+    with pytest.raises(ValueError):
+        count_elim_trees(g, chain(1), 2, weights=[1, 1])
+    with pytest.raises(ValueError):
+        count_elim_trees(g, chain(1), 2, weights=[2], check_bounds=True)
+    with pytest.raises(ValueError):
+        count_elim_trees(g, chain(1), 2, cap=0)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,6 @@ from tdsolve.forest import (
     PrefixTree,
     RootedForest,
     attach_root,
-    check_sensible,
     expand_contracted_forest,
     induced_forest,
     lift_simplicial,
@@ -18,8 +19,12 @@ from tdsolve.graph import Graph, contract_matching, greedy_maximal_matching
 from tdsolve.oracle import (
     all_elimination_trees,
     brute_td,
+    check_sensible,
     clique,
+    closure,
+    comparable,
     cycle,
+    descendants,
     empty_graph,
     path,
     random_tree,
@@ -44,8 +49,8 @@ def test_cycle_detection():
 def test_tail_tree_comp_on_chain():
     f = chain(3)
     assert f.tail(2) == {0, 1, 2}
-    assert f.tree(0) == {0, 1, 2}
-    assert f.comp(1) == {0, 1, 2}
+    assert descendants(f, 0) == {0, 1, 2}
+    assert comparable(f, 1) == {0, 1, 2}
     assert f.tail(1, strict=True) == {0}
 
 
@@ -58,7 +63,7 @@ def test_every_vertex_its_own_ancestor():
 
 def test_two_roots_unrelated():
     f = RootedForest([-1, -1])
-    assert f.closure({0, 1}) == {0, 1}
+    assert closure(f, {0, 1}) == {0, 1}
     assert not f.ancestor_related(0, 1)
 
 
@@ -242,7 +247,7 @@ def test_induced_forest_requires_parent_closed_subset():
 
 
 def test_prefix_tree_chain_extension_and_rollback():
-    k = PrefixTree()
+    k = PrefixTree(limit=3)
     root = k.add_child(None)
     a = k.add_child(root)
     b = k.add_child(a)
@@ -252,6 +257,35 @@ def test_prefix_tree_chain_extension_and_rollback():
     assert not k.related(side, a)
     k.truncate(3)
     assert len(k) == 3 and k.parent == [-1, 0, 1]
+
+
+def test_prefix_tree_masks_follow_chain_pushes_and_truncation():
+    # as the counter's fresh chains do: hang a chain below a vertex above the
+    # depth limit (a new root when the tree is empty), and undo chains in
+    # reverse order; desc and full must always match parent and depth
+    limit = 3
+    for seed in range(30):
+        rng = random.Random(seed)
+        k = PrefixTree(limit=limit)
+        bases = []
+        for _ in range(40):
+            roomy = [w for w in range(len(k)) if k.depth[w] < limit]
+            if bases and (rng.random() < 0.4 or (len(k) and not roomy)):
+                k.truncate(bases.pop())
+            else:
+                bases.append(len(k))
+                w = rng.choice(roomy) if len(k) else None
+                room = limit - (k.depth[w] if w is not None else 0)
+                for _ in range(rng.randint(1, room)):
+                    w = k.add_child(w)
+            desc = [0] * len(k)
+            for v in range(len(k)):
+                u = v
+                while u >= 0:
+                    desc[u] |= 1 << v
+                    u = k.parent[u]
+            assert k.desc == desc
+            assert k.full == sum(1 << v for v in range(len(k)) if k.depth[v] >= limit)
 
 
 def test_sensible_tree_exists_at_optimal_depth_small():
