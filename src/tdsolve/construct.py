@@ -20,10 +20,9 @@ from .counting import count_elim_forests
 from .forest import (
     RootedForest,
     attach_root,
-    induced_forest,
     merge_forests,
     remove_vertex,
-    restrict_to_components,
+    split_components,
 )
 from .graph import (
     Graph,
@@ -52,13 +51,11 @@ def build_forest(
         return RootedForest([])
     if d < 1:
         return None
-    rt = restrict_to_components(g, t)
     parts = []
-    for verts, sub, _ in connected_components(g):
+    for verts, sub, subt in split_components(g, t):
         if sub.n == 1:
             parts.append((verts, RootedForest([-1])))
             continue
-        subt = induced_forest(rt, verts)
         found = find_root(sub, subt, d)
         if found is None:
             return None

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .forest import PrefixTree, RootedForest, induced_forest, restrict_to_components
-from .graph import Graph, connected_components
+from .forest import PrefixTree, RootedForest, split_components
+from .graph import Graph
 from .polyring import ExactRing, poly_mul, poly_trim
 
 
@@ -163,10 +163,8 @@ def _top_coefficients(
     # The only constraints live when u is placed are the edges toward its
     # ancestors in t; descendant edges get checked at the other endpoint,
     # which covers every edge exactly once because t binds them all.
-    anc_nbrs: list[tuple] = []
-    for u in range(n):
-        tail = t.tail(u, strict=True)
-        anc_nbrs.append(tuple(w for w in g.adj[u] if w in tail))
+    depth = [t.depth_of(v) for v in range(n)]
+    anc_nbrs = [tuple(w for w in g.adj[u] if depth[w] < depth[u]) for u in range(n)]
 
     skeleton = PrefixTree(limit=d)
     kparent = skeleton.parent
@@ -311,23 +309,16 @@ def count_elim_forests(
     t: RootedForest,
     d: int,
     ring: ExactRing | None = None,
-    weights: list[int] | None = None,
+    *,
     cap: int | None = None,
-    check_bounds: bool = False,
 ) -> int:
     """Product over connected components of the per-component tree count;
     nonzero exactly when every component admits a sensible tree of depth at
     most d.  t may be any elimination forest of g."""
     ring = ring or ExactRing()
-    if g.n == 0:
-        return 1
-    rt = restrict_to_components(g, t)
     total = 1
-    for verts, sub, old_of_new in connected_components(g):
-        subt = induced_forest(rt, verts)
-        subw = [weights[old] for old in old_of_new] if weights is not None else None
-        c = count_elim_trees(sub, subt, d, ring, subw, cap, check_bounds)
-        total = ring.normalize(total * c)
+    for _, sub, subt in split_components(g, t):
+        total = ring.normalize(total * count_elim_trees(sub, subt, d, ring, cap=cap))
         if ring.is_zero(total):
             return total
     return total

@@ -1,7 +1,8 @@
 """Rooted forests on dense 0-indexed vertex sets: ancestor machinery,
 elimination-forest validation, the counter's skeleton tree, and the
-surgeries used by both solver drivers (component restriction, vertex
-removal, root attachment, contraction expansion, simplicial lifting).
+surgeries used by both solver drivers (the split of a graph and its forest
+into components, vertex removal, root attachment, contraction expansion,
+simplicial lifting).
 
 Forests are immutable after construction.  Operations that shrink or grow
 the vertex set reindex it the same way graph operations do: surviving
@@ -10,7 +11,7 @@ vertices keep their relative order.
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, component_labels, connected_components
 
 
 class RootedForest:
@@ -156,9 +157,6 @@ class PrefixTree:
             desc[i] &= keep
         self.full &= keep
 
-    def related(self, a: int, b: int) -> bool:
-        return bool((self.anc[a] >> b) & 1 or (self.anc[b] >> a) & 1)
-
 
 def validate_elimination_forest(g: Graph, f: RootedForest, d: int) -> bool:
     """True iff f spans V(g), every edge joins comparable vertices, and the
@@ -177,20 +175,7 @@ def restrict_to_components(g: Graph, f: RootedForest) -> RootedForest:
     """Per-component forest with the ancestor relation inherited from f: the
     parent of u becomes its deepest proper f-ancestor inside u's component.
     Depths never increase."""
-    comp_id = [-1] * g.n
-    cid = 0
-    for s in range(g.n):
-        if comp_id[s] >= 0:
-            continue
-        comp_id[s] = cid
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if comp_id[w] < 0:
-                    comp_id[w] = cid
-                    stack.append(w)
-        cid += 1
+    comp_id = component_labels(g)[0]
     parent = [-1] * g.n
     for v in range(g.n):
         p = f.parent(v)
@@ -215,6 +200,17 @@ def induced_forest(f: RootedForest, vertices) -> RootedForest:
                 raise ValueError("subset is not parent-closed")
             parent.append(new_of_old[p])
     return RootedForest(parent)
+
+
+def split_components(g: Graph, t: RootedForest) -> list[tuple[list[int], Graph, RootedForest]]:
+    """(sorted vertex list, induced subgraph, restricted forest) for each
+    component of g, ordered by least vertex.  A connected g comes back with
+    its own g and t, since restricting to one component keeps every parent."""
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return [(comps[0][0], g, t)]
+    rt = restrict_to_components(g, t)
+    return [(verts, sub, induced_forest(rt, verts)) for verts, sub, _ in comps]
 
 
 def remove_vertex(f: RootedForest, v: int) -> RootedForest:
@@ -305,20 +301,8 @@ def lift_simplicial(
     for i, old in enumerate(kept):
         p = f.parent(i)
         parent[old] = -1 if p is None else kept[p]
+        depth[old] = f.depth_of(i)
         placed[old] = True
-    stack = [v for v in kept if parent[v] == -1]
-    kids = [[] for _ in range(n)]
-    for old in kept:
-        p = parent[old]
-        if p >= 0:
-            kids[p].append(old)
-    for r in stack:
-        depth[r] = 1
-    while stack:
-        u = stack.pop()
-        for w in kids[u]:
-            depth[w] = depth[u] + 1
-            stack.append(w)
     for v in ordered_a:
         nbrs = [w for w in g_imp.adj[v] if placed[w]]
         if len(nbrs) >= d:

@@ -124,32 +124,40 @@ def prefix_subgraph(g: Graph, k: int) -> Graph:
     return Graph(k, adj, m)
 
 
-def connected_components(g: Graph) -> list[tuple[list[int], Graph, list[int]]]:
-    """Partition into components: (sorted vertex list, induced graph, new->old map).
-
-    A connected g is its own only component, so a lower bound recorded on g
-    stays with it."""
-    seen = [False] * g.n
-    out = []
+def component_labels(g: Graph) -> tuple[list[int], int]:
+    """The component index of every vertex, components numbered in the order
+    of their least vertex, and the number of components."""
+    label = [None] * g.n
+    k = 0
     for s in range(g.n):
-        if seen[s]:
+        if label[s] is not None:
             continue
-        comp = [s]
-        seen[s] = True
+        label[s] = k
         stack = [s]
         while stack:
             u = stack.pop()
             for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
+                if label[w] is None:
+                    label[w] = k
                     stack.append(w)
-        comp.sort()
-        if len(comp) == g.n:
-            return [(comp, g, list(comp))]
-        sub, old_of_new = induced_subgraph(g, comp)
-        out.append((comp, sub, old_of_new))
-    return out
+        k += 1
+    return label, k
+
+
+def connected_components(g: Graph) -> list[tuple[list[int], Graph, list[int]]]:
+    """Partition into components: (sorted vertex list, induced graph, new->old map),
+    ordered by least vertex.
+
+    A connected g is its own only component, so a lower bound recorded on g
+    stays with it."""
+    label, k = component_labels(g)
+    if k == 1:
+        comp = list(range(g.n))
+        return [(comp, g, list(comp))]
+    comps = [[] for _ in range(k)]
+    for v, c in enumerate(label):
+        comps[c].append(v)
+    return [(comp, *induced_subgraph(g, comp)) for comp in comps]
 
 
 def dfs_elimination_forest(g: Graph):

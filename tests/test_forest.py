@@ -13,9 +13,17 @@ from tdsolve.forest import (
     lift_simplicial,
     remove_vertex,
     restrict_to_components,
+    split_components,
     validate_elimination_forest,
 )
-from tdsolve.graph import Graph, contract_matching, greedy_maximal_matching
+from tdsolve.graph import (
+    Graph,
+    centroid_forest,
+    connected_components,
+    contract_matching,
+    dfs_elimination_forest,
+    greedy_maximal_matching,
+)
 from tdsolve.oracle import (
     all_elimination_trees,
     brute_td,
@@ -27,6 +35,7 @@ from tdsolve.oracle import (
     descendants,
     empty_graph,
     path,
+    random_graph,
     random_tree,
 )
 
@@ -246,15 +255,61 @@ def test_induced_forest_requires_parent_closed_subset():
     assert sub.parent_array() == [-1, 0]
 
 
+def test_split_components_keeps_a_connected_graph_and_its_forest():
+    for g in [empty_graph(1), path(4), cycle(5), random_tree(9, 3)]:
+        for t in [dfs_elimination_forest(g), centroid_forest(g), chain(g.n)]:
+            [(verts, sub, subt)] = split_components(g, t)
+            assert verts == list(range(g.n))
+            assert sub is g and subt is t
+
+
+def test_split_components_matches_restriction_on_disconnected_graphs():
+    split = 0
+    for seed in range(60):
+        n = 3 + seed % 8
+        g = random_graph(n, seed % n, seed)
+        for t in [dfs_elimination_forest(g), chain(n)]:
+            comps = connected_components(g)
+            parts = split_components(g, t)
+            assert len(parts) == len(comps)
+            if len(comps) == 1:
+                continue
+            split += 1
+            rt = restrict_to_components(g, t)
+            for (verts, sub, subt), (cverts, csub, _) in zip(parts, comps):
+                assert verts == cverts and sub.adj == csub.adj
+                assert subt == induced_forest(rt, verts)
+                assert validate_elimination_forest(sub, subt, t.max_depth)
+    assert split > 50
+
+
+def test_count_elim_forests_on_a_connected_graph_skips_restriction(monkeypatch):
+    from tdsolve import forest
+    from tdsolve.counting import count_elim_forests, count_elim_trees
+    from tdsolve.oracle import connected_graphs_up_to
+
+    def refuse(g, f):
+        raise AssertionError("restrict_to_components called")
+
+    monkeypatch.setattr(forest, "restrict_to_components", refuse)
+    for g in connected_graphs_up_to(5):
+        t = dfs_elimination_forest(g)
+        for d in range(1, 4):
+            assert count_elim_forests(g, t, d) == count_elim_trees(g, t, d)
+    two = empty_graph(2)
+    with pytest.raises(AssertionError, match="restrict_to_components"):
+        count_elim_forests(two, chain(2), 1)
+
+
 def test_prefix_tree_chain_extension_and_rollback():
     k = PrefixTree(limit=3)
     root = k.add_child(None)
     a = k.add_child(root)
     b = k.add_child(a)
     assert (k.depth[root], k.depth[a], k.depth[b]) == (1, 2, 3)
-    assert k.related(root, b) and k.related(b, a)
+    assert k.anc[b] >> root & 1 and k.anc[b] >> a & 1
     side = k.add_child(root)
-    assert not k.related(side, a)
+    assert not (k.anc[side] >> a & 1 or k.anc[a] >> side & 1)
     k.truncate(3)
     assert len(k) == 3 and k.parent == [-1, 0, 1]
 
