@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Time the solver on a few named heavy cases, optionally for two trees.
+"""Time tdsolve on a few named heavy cases, optionally for two trees.
 
     python scripts/time_cases.py [--src DIR] [--src DIR2] [--runs 3] [--case NAME ...] [--seed 0]
 
 Each run of a case is one child process that imports tdsolve from the given
 `src` directory (default: the one next to this script), builds the graph and
-measures the CPU time of one solve.  With two --src trees, the runs alternate
-between them, so a drift in machine speed hits both alike.  The table gives,
-per case and tree, the minimum CPU time over the runs and the depth of the
-forest found ("none" for an infeasible verdict).
+measures the CPU time of one solve or validation.  With two --src trees, the
+runs alternate between them, so a drift in machine speed hits both alike.
+The table gives, per case and tree, the minimum CPU time over the runs and
+the depth of the forest found ("none" for an infeasible verdict); a
+validation case shows the depth of the forest it checked, or "none" when the
+check fails.
 
-Cases (randomized solves use random.Random(seed)):
+Cases (randomized solves use random.Random(seed); the validation case checks
+the chain forest 0 -> 1 -> ... -> 3999, built before the clock starts):
   rand-path23-d5      solve_randomized(path(23), 5)
   rand-cycle12-d5     solve_randomized(cycle(12), 5)
   rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible
   det-cycle12-d5      solve_deterministic(cycle(12), 5)
   det-path15-d4       solve_deterministic(path(15), 4)
+  validate-star4000   validate_elimination_forest(complete_bipartite(1, 3999),
+                      chain, 4000)
 """
 
 import argparse
@@ -27,11 +32,12 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CASES = {
-    "rand-path23-d5": ("randomized", "path", 23, 5),
-    "rand-cycle12-d5": ("randomized", "cycle", 12, 5),
-    "rand-cycle12-d4": ("randomized", "cycle", 12, 4),
-    "det-cycle12-d5": ("deterministic", "cycle", 12, 5),
-    "det-path15-d4": ("deterministic", "path", 15, 4),
+    "rand-path23-d5": ("randomized", "path", (23,), 5),
+    "rand-cycle12-d5": ("randomized", "cycle", (12,), 5),
+    "rand-cycle12-d4": ("randomized", "cycle", (12,), 4),
+    "det-cycle12-d5": ("deterministic", "cycle", (12,), 5),
+    "det-path15-d4": ("deterministic", "path", (15,), 4),
+    "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),
 }
 
 
@@ -43,14 +49,18 @@ def child(src: str, name: str, seed: int) -> None:
     sys.path.insert(0, os.path.abspath(src))
     from tdsolve import oracle
     from tdsolve.construct import solve_deterministic
+    from tdsolve.forest import RootedForest, validate_elimination_forest
     from tdsolve.linear import solve_randomized
 
     if not os.path.abspath(oracle.__file__).startswith(os.path.abspath(src) + os.sep):
         raise SystemExit(f"imported tdsolve from {oracle.__file__}, not from {src}")
-    mode, shape, n, d = CASES[name]
-    g = getattr(oracle, shape)(n)
+    mode, shape, args, d = CASES[name]
+    g = getattr(oracle, shape)(*args)
+    chain = RootedForest([i - 1 for i in range(g.n)])
     start = time.process_time()
-    if mode == "randomized":
+    if mode == "validate":
+        f = chain if validate_elimination_forest(g, chain, d) else None
+    elif mode == "randomized":
         f = solve_randomized(g, d, rng=random.Random(seed))
     else:
         f = solve_deterministic(g, d)

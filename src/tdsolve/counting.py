@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .forest import PrefixTree, RootedForest, split_components
+from .forest import PrefixTree, RootedForest, split_components, unbound_edge
 from .graph import Graph
 from .polyring import ExactRing, poly_mul, poly_trim
 
@@ -69,9 +69,9 @@ class CoefficientBoundError(AssertionError):
 def _validate_aux_tree(g: Graph, t: RootedForest) -> None:
     if t.n != g.n:
         raise ValueError("auxiliary tree must span the graph's vertex set")
-    for u, v in g.edges():
-        if not t.ancestor_related(u, v):
-            raise ValueError(f"auxiliary tree does not bind edge ({u}, {v})")
+    edge = unbound_edge(g, t)
+    if edge is not None:
+        raise ValueError(f"auxiliary tree does not bind edge {edge}")
 
 
 def count_elim_trees(

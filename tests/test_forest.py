@@ -14,6 +14,7 @@ from tdsolve.forest import (
     remove_vertex,
     restrict_to_components,
     split_components,
+    unbound_edge,
     validate_elimination_forest,
 )
 from tdsolve.graph import (
@@ -31,6 +32,7 @@ from tdsolve.oracle import (
     clique,
     closure,
     comparable,
+    complete_bipartite,
     cycle,
     descendants,
     empty_graph,
@@ -60,7 +62,7 @@ def test_tail_tree_comp_on_chain():
     assert f.tail(2) == {0, 1, 2}
     assert descendants(f, 0) == {0, 1, 2}
     assert comparable(f, 1) == {0, 1, 2}
-    assert f.tail(1, strict=True) == {0}
+    assert f.tail(1) - {1} == {0}
 
 
 def test_every_vertex_its_own_ancestor():
@@ -83,6 +85,105 @@ def test_validate_elimination_forest():
     assert not validate_elimination_forest(g, chain(3), 2)  # depth 3
     k2 = path(2)
     assert not validate_elimination_forest(k2, RootedForest([-1, -1]), 2)
+
+
+def random_parent_array(n, rng):
+    """An acyclic parent array: each vertex, taken in a random order, is a
+    new root or hangs below a vertex taken before it."""
+    order = rng.sample(range(n), n)
+    parent = [-1] * n
+    for i, v in enumerate(order):
+        if i and rng.random() < 0.8:
+            parent[v] = order[rng.randrange(i)]
+    return parent
+
+
+def walk_validate(g, f, d):
+    """The parent-walking reference for validate_elimination_forest."""
+    return (
+        f.n == g.n
+        and (g.n == 0 or f.max_depth <= d)
+        and all(f.ancestor_related(u, v) for u, v in g.edges())
+    )
+
+
+def test_subtree_sizes_count_descendants():
+    rng = random.Random(5)
+    for n in range(12):
+        f = RootedForest(random_parent_array(n, rng))
+        assert f.subtree_sizes() == [len(descendants(f, v)) for v in range(n)]
+        first = {v: i for i, v in enumerate(f.preorder())}
+        assert sorted(first) == list(range(n))
+        size = f.subtree_sizes()
+        for v in range(n):
+            run = f.preorder()[first[v] : first[v] + size[v]]
+            assert set(run) == descendants(f, v)
+
+
+def test_validation_agrees_with_the_parent_walk():
+    seen = {"valid": 0, "unbound": 0, "too_deep": 0, "roots": 0, "size": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(0, 11)
+        f = RootedForest(random_parent_array(n, rng))
+        if seed % 2:
+            # edges from pairs f relates, and sometimes one pair it does not
+            tails = [f.tail(v) for v in range(n)]
+            pairs = [(u, v) for v in range(n) for u in tails[v] if u != v]
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            apart = [
+                (u, v) for v in range(n) for u in range(v) if u not in tails[v] and v not in tails[u]
+            ]
+            if apart and rng.random() < 0.5:
+                edges.append(rng.choice(apart))
+            g = Graph.from_edges(n, edges)
+        else:
+            g = random_graph(n, rng.randint(0, n * (n - 1) // 2), seed)
+        forests = [f, chain(n), dfs_elimination_forest(g), chain(n + 1)]
+        for h in forests:
+            if h.n == g.n:
+                walk_edge = next((e for e in g.edges() if not h.ancestor_related(*e)), None)
+                assert unbound_edge(g, h) == walk_edge
+                seen["unbound"] += walk_edge is not None
+                seen["roots"] += len(h.roots) > 1 and walk_edge is None
+            for d in range(n + 2):
+                ok = walk_validate(g, h, d)
+                assert validate_elimination_forest(g, h, d) == ok
+                seen["valid"] += ok
+                seen["too_deep"] += h.n == g.n > 0 and h.max_depth > d
+                seen["size"] += h.n != g.n
+    assert min(seen.values()) > 100, seen
+
+
+def test_validation_and_counting_never_walk_parents(monkeypatch):
+    from tdsolve.counting import count_elim_trees
+    from tdsolve.oracle import brute_count_sensible
+
+    g = cycle(5)
+    t = dfs_elimination_forest(g)
+    expected = brute_count_sensible(g, t, 4)
+
+    def refuse(self, u, v):
+        raise AssertionError("parent walk")
+
+    monkeypatch.setattr(RootedForest, "ancestor_related", refuse)
+    monkeypatch.setattr(RootedForest, "is_ancestor", refuse)
+    star = complete_bipartite(1, 3999)
+    assert validate_elimination_forest(star, chain(4000), 4000)
+    assert not validate_elimination_forest(path(3), RootedForest([-1, 0, 0]), 3)
+    assert count_elim_trees(g, t, 4) == expected
+
+
+def test_counter_names_the_first_unbound_edge():
+    from tdsolve.counting import count_elim_trees
+
+    g = cycle(5)  # edges in order: (0, 1), (0, 4), (1, 2), (2, 3), (3, 4)
+    star = RootedForest([-1, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"does not bind edge \(1, 2\)$"):
+        count_elim_trees(g, star, 5)
+    fork = RootedForest([-1, 0, 1, 2, 2])
+    with pytest.raises(ValueError, match=r"does not bind edge \(3, 4\)$"):
+        count_elim_trees(g, fork, 5)
 
 
 def test_restrict_splits_isolated_vertices():
