@@ -10,7 +10,7 @@ runs alternate between them, so a drift in machine speed hits both alike.
 The table gives, per case and tree, the minimum CPU time over the runs and
 the depth of the forest found ("none" for an infeasible verdict); a
 validation case shows the depth of the forest it checked, or "none" when the
-check fails.
+check fails, and the contraction case the number of levels it contracted.
 
 Cases (randomized solves use random.Random(seed); the validation case checks
 the chain forest 0 -> 1 -> ... -> 3999, built before the clock starts):
@@ -21,6 +21,9 @@ the chain forest 0 -> 1 -> ... -> 3999, built before the clock starts):
   det-path15-d4       solve_deterministic(path(15), 4)
   validate-star4000   validate_elimination_forest(complete_bipartite(1, 3999),
                       chain, 4000)
+  contract-rg5000     g = random_graph(5000, 15000, 1), then
+                      g = contract_matching(g, greedy_maximal_matching(g))
+                      until g has no edge
 """
 
 import argparse
@@ -38,6 +41,7 @@ CASES = {
     "det-cycle12-d5": ("deterministic", "cycle", (12,), 5),
     "det-path15-d4": ("deterministic", "path", (15,), 4),
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),
+    "contract-rg5000": ("contract", "random_graph", (5000, 15000, 1), None),
 }
 
 
@@ -50,6 +54,7 @@ def child(src: str, name: str, seed: int) -> None:
     from tdsolve import oracle
     from tdsolve.construct import solve_deterministic
     from tdsolve.forest import RootedForest, validate_elimination_forest
+    from tdsolve.graph import contract_matching, greedy_maximal_matching
     from tdsolve.linear import solve_randomized
 
     if not os.path.abspath(oracle.__file__).startswith(os.path.abspath(src) + os.sep):
@@ -58,14 +63,21 @@ def child(src: str, name: str, seed: int) -> None:
     g = getattr(oracle, shape)(*args)
     chain = RootedForest([i - 1 for i in range(g.n)])
     start = time.process_time()
-    if mode == "validate":
-        f = chain if validate_elimination_forest(g, chain, d) else None
-    elif mode == "randomized":
-        f = solve_randomized(g, d, rng=random.Random(seed))
+    if mode == "contract":
+        depth = 0
+        while g.m:
+            g, _ = contract_matching(g, greedy_maximal_matching(g))
+            depth += 1
     else:
-        f = solve_deterministic(g, d)
+        if mode == "validate":
+            f = chain if validate_elimination_forest(g, chain, d) else None
+        elif mode == "randomized":
+            f = solve_randomized(g, d, rng=random.Random(seed))
+        else:
+            f = solve_deterministic(g, d)
+        depth = None if f is None else f.max_depth
     cpu = time.process_time() - start
-    print(json.dumps({"cpu": cpu, "depth": None if f is None else f.max_depth}))
+    print(json.dumps({"cpu": cpu, "depth": depth}))
 
 
 def main() -> int:

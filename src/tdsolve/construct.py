@@ -60,7 +60,7 @@ def build_forest(
         if found is None:
             return None
         v, budget = found
-        rest = build_forest(minus_vertex(sub, v)[0], remove_vertex(subt, v), budget, find_root)
+        rest = build_forest(minus_vertex(sub, v), remove_vertex(subt, v), budget, find_root)
         if rest is None:
             return None
         parts.append((verts, attach_root(rest, v)))
@@ -73,7 +73,7 @@ def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None
 
     t is validated only as each t-v is counted against g-v."""
     for v in range(g.n):
-        if count_elim_forests(minus_vertex(g, v)[0], remove_vertex(t, v), d - 1) != 0:
+        if count_elim_forests(minus_vertex(g, v), remove_vertex(t, v), d - 1) != 0:
             return v, d - 1
     return None
 

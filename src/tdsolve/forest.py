@@ -289,16 +289,11 @@ def expand_contracted_forest(f: RootedForest, cmap: list[tuple], n: int) -> Root
     pair becomes a parent-child chain (smaller original index on top), so the
     depth at most doubles."""
     parent = [-1] * n
-
-    def anchor(x: int) -> int:
-        pre = cmap[x]
-        return pre[-1]
-
     for x in range(f.n):
         pre = cmap[x]
         p = f.parent(x)
         top = pre[0]
-        parent[top] = -1 if p is None else anchor(p)
+        parent[top] = -1 if p is None else cmap[p][-1]
         if len(pre) == 2:
             parent[pre[1]] = top
     return RootedForest(parent)

@@ -1,7 +1,8 @@
 """Simple undirected graphs and the preprocessing steps the solvers consume:
 connectivity, DFS and centroid approximation forests, the structural
-filter, degree-bounded neighborhood improvement, maximal matchings and
-matching contraction.
+filter, degree-bounded neighborhood improvement, maximal matchings (tuples
+of vertex pairs), the reduction step (which hands back the improved graph it
+built when it lifts simplicial vertices) and matching contraction.
 
 Vertices are 0-indexed; adjacency lists are sorted; Graph values are
 immutable after construction.
@@ -15,13 +16,12 @@ from typing import NamedTuple
 
 
 class Graph:
-    __slots__ = ("n", "adj", "m", "_adjsets", "_lower_bound")
+    __slots__ = ("n", "adj", "m", "_lower_bound")
 
     def __init__(self, n: int, adj: list[list[int]], m: int):
         self.n = n
         self.adj = adj
         self.m = m
-        self._adjsets = None
         self._lower_bound = None
 
     @staticmethod
@@ -59,39 +59,8 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    def neighbor_sets(self) -> list[set]:
-        if self._adjsets is None:
-            self._adjsets = [set(lst) for lst in self.adj]
-        return self._adjsets
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-class Matching:
-    """Disjoint vertex pairs, each an edge of the host graph."""
-
-    def __init__(self, edges: tuple):
-        self.edges = edges
-
-    def __len__(self):
-        return len(self.edges)
-
-    def vertices(self) -> set:
-        out = set()
-        for u, v in self.edges:
-            out.add(u)
-            out.add(v)
-        return out
-
-    def validate(self, g: Graph) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            if u in seen or v in seen or not g.has_edge(u, v):
-                return False
-            seen.add(u)
-            seen.add(v)
-        return True
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
@@ -113,8 +82,10 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     return Graph(len(old_of_new), adj, m), old_of_new
 
 
-def minus_vertex(g: Graph, v: int) -> tuple[Graph, list[int]]:
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])
+def minus_vertex(g: Graph, v: int) -> Graph:
+    """g without v; the vertices after v shift down by one."""
+    adj = [[w - (w > v) for w in g.adj[u] if w != v] for u in range(g.n) if u != v]
+    return Graph(g.n - 1, adj, g.m - len(g.adj[v]))
 
 
 def prefix_subgraph(g: Graph, k: int) -> Graph:
@@ -331,7 +302,7 @@ def improved_graph(g: Graph, d: int) -> Graph:
 
 def _simplicial_in(g: Graph) -> list[int]:
     """Vertices whose closed neighborhood is a clique in g."""
-    sets = g.neighbor_sets()
+    sets = [set(nb) for nb in g.adj]
     out = []
     for v in range(g.n):
         nb = g.adj[v]
@@ -354,9 +325,9 @@ def _simplicial_in(g: Graph) -> list[int]:
     return out
 
 
-def greedy_maximal_matching(g: Graph) -> Matching:
-    """Maximal matching, scanning edges in ascending (min, max) order so the
-    result is reproducible."""
+def greedy_maximal_matching(g: Graph) -> tuple:
+    """Maximal matching as disjoint (u, v) edges with u < v, scanning edges in
+    ascending (min, max) order so the result is reproducible."""
     used = [False] * g.n
     out = []
     for u in range(g.n):
@@ -367,13 +338,14 @@ def greedy_maximal_matching(g: Graph) -> Matching:
                 used[u] = used[v] = True
                 out.append((u, v))
                 break
-    return Matching(tuple(out))
+    return tuple(out)
 
 
 class BodlaenderOutcome(NamedTuple):
     kind: str  # "matching" | "simplicial" | "too_deep"
-    matching: Matching | None = None
+    matching: tuple | None = None
     vertices: tuple = ()
+    improved: Graph | None = None  # the improved graph, on a simplicial outcome
 
 
 def bodlaender_step(g: Graph, d: int, c_of_d) -> BodlaenderOutcome:
@@ -395,14 +367,14 @@ def bodlaender_step(g: Graph, d: int, c_of_d) -> BodlaenderOutcome:
     matching = greedy_maximal_matching(g)
     if len(matching) >= threshold:
         return BodlaenderOutcome("matching", matching=matching)
-    matched = matching.vertices()
+    matched = {v for pair in matching for v in pair}
     cand = tuple(v for v in simp if v not in matched and g.degree(v) <= d)
     if len(cand) >= threshold:
-        return BodlaenderOutcome("simplicial", vertices=cand)
+        return BodlaenderOutcome("simplicial", vertices=cand, improved=g_imp)
     return BodlaenderOutcome("too_deep")
 
 
-def contract_matching(g: Graph, matching: Matching) -> tuple[Graph, list[tuple]]:
+def contract_matching(g: Graph, matching: tuple) -> tuple[Graph, list[tuple]]:
     """Merge every matched pair into one vertex; parallel edges are
     deduplicated and loops dropped.
 
@@ -410,24 +382,21 @@ def contract_matching(g: Graph, matching: Matching) -> tuple[Graph, list[tuple]]
     pre-images (one or two old vertices, ascending).  New indices follow the
     sorted order of minimum pre-images.
     """
-    partner = {}
-    for u, v in matching.edges:
-        partner[u] = v
-        partner[v] = u
-    reps = sorted(v for v in range(g.n) if v not in partner or partner[v] > v)
-    new_of_old = {}
+    mate = [-1] * g.n
+    for u, v in matching:
+        mate[u] = v
+        mate[v] = u
+    new = [0] * g.n
     cmap = []
-    for new, v in enumerate(reps):
-        if v in partner:
-            cmap.append((v, partner[v]))
-            new_of_old[v] = new
-            new_of_old[partner[v]] = new
+    for v, w in enumerate(mate):
+        if w < 0 or w > v:
+            new[v] = len(cmap)
+            cmap.append((v,) if w < 0 else (v, w))
         else:
-            cmap.append((v,))
-            new_of_old[v] = new
-    edges = set()
-    for u, v in g.edges():
-        a, b = new_of_old[u], new_of_old[v]
-        if a != b:
-            edges.add((a, b) if a < b else (b, a))
-    return Graph.from_edges(len(reps), sorted(edges)), cmap
+            new[v] = new[w]
+    adj = []
+    for x, pre in enumerate(cmap):
+        nb = {new[w] for a in pre for w in g.adj[a]}
+        nb.discard(x)
+        adj.append(sorted(nb))
+    return Graph(len(cmap), adj, sum(map(len, adj)) // 2), cmap

@@ -27,7 +27,6 @@ from .graph import (
     bodlaender_step,
     centroid_forest,
     contract_matching,
-    improved_graph,
     induced_subgraph,
     minus_vertex,
     recorded_lower_bound,
@@ -224,7 +223,7 @@ def _try_color(
         v = one_based - 1
         if coloring[v] != c:
             return None
-    gv, _ = minus_vertex(g, v)
+    gv = minus_vertex(g, v)
     tv = remove_vertex(t, v)
     ver_ring = _ring_for(gv, tv, max(d - 1, 1), ctx)
     if ver_ring.is_zero(count_elim_forests(gv, tv, d - 1, ver_ring)):
@@ -318,7 +317,7 @@ def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
         sub = None if structurally_infeasible(gm, d) else _solve(gm, d, ctx)
         t = None if sub is None else expand_contracted_forest(sub, cmap, n)
     else:
-        g_imp = improved_graph(g, d)
+        g_imp = step.improved
         lifted = set(step.vertices)
         kept = [v for v in range(n) if v not in lifted]
         h, old_of_new = induced_subgraph(g_imp, kept)

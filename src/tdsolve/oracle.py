@@ -76,8 +76,7 @@ def candidate_roots(g: Graph, d: int) -> set:
 
     out = set()
     for v in range(g.n):
-        gv, _ = minus_vertex(g, v)
-        if brute_td(gv) < d:
+        if brute_td(minus_vertex(g, v)) < d:
             out.add(v)
     return out
 

@@ -96,7 +96,7 @@ def test_root_scan_returns_first_feasible_root():
             if td > d:
                 assert found is None
             else:
-                v = next(v for v in range(g.n) if brute_td(minus_vertex(g, v)[0]) <= d - 1)
+                v = next(v for v in range(g.n) if brute_td(minus_vertex(g, v)) <= d - 1)
                 assert found == (v, d - 1)
 
 
@@ -152,7 +152,7 @@ def test_chosen_roots_are_genuinely_feasible():
 
             sub, old_of_new = induced_subgraph(g, comp)
             v_local = old_of_new.index(r)
-            gv, _ = minus_vertex(sub, v_local)
+            gv = minus_vertex(sub, v_local)
             assert brute_td(gv) <= td - 1
 
 

@@ -181,17 +181,18 @@ def test_bodlaender_step_flags_overfull_neighborhoods():
 
 
 def test_greedy_matching_deterministic_scan():
-    assert greedy_maximal_matching(empty_graph(3)).edges == ()
-    assert greedy_maximal_matching(path(2)).edges == ((0, 1),)
-    assert greedy_maximal_matching(path(4)).edges == ((0, 1), (2, 3))
+    assert greedy_maximal_matching(empty_graph(3)) == ()
+    assert greedy_maximal_matching(path(2)) == ((0, 1),)
+    assert greedy_maximal_matching(path(4)) == ((0, 1), (2, 3))
 
 
 @given(small_graphs)
 @settings(max_examples=60)
 def test_greedy_matching_is_maximal_matching(g):
     m = greedy_maximal_matching(g)
-    assert m.validate(g)
-    matched = m.vertices()
+    matched = [v for pair in m for v in pair]
+    assert len(set(matched)) == len(matched)
+    assert all(g.has_edge(u, v) for u, v in m)
     for u, v in g.edges():
         assert u in matched or v in matched
 
@@ -204,7 +205,7 @@ def test_contract_single_edge():
 
 def test_contract_path_keeps_connectivity():
     g = path(4)
-    gm, cmap = contract_matching(g, type(greedy_maximal_matching(g))(((1, 2),)))
+    gm, cmap = contract_matching(g, ((1, 2),))
     assert gm.n == 3 and sorted(gm.edges()) == [(0, 1), (1, 2)]
     assert cmap == [(0,), (1, 2), (3,)]
 
@@ -222,6 +223,43 @@ def test_contraction_is_a_minor(seed):
     g = random_graph(n, min(2 * n, n * (n - 1) // 2), seed)
     gm, _ = contract_matching(g, greedy_maximal_matching(g))
     assert brute_td(gm) <= brute_td(g)
+
+
+def contract_by_edge_set(g, matching):
+    """Contraction through a set of merged edges and Graph.from_edges: the
+    reference contract_matching must agree with."""
+    partner = {}
+    for u, v in matching:
+        partner[u] = v
+        partner[v] = u
+    reps = sorted(v for v in range(g.n) if v not in partner or partner[v] > v)
+    new_of_old = {}
+    cmap = []
+    for new, v in enumerate(reps):
+        cmap.append((v, partner[v]) if v in partner else (v,))
+        for old in cmap[-1]:
+            new_of_old[old] = new
+    edges = set()
+    for u, v in g.edges():
+        a, b = new_of_old[u], new_of_old[v]
+        if a != b:
+            edges.add((a, b) if a < b else (b, a))
+    return Graph.from_edges(len(cmap), sorted(edges)), cmap
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_contraction_matches_the_edge_set_reference(seed):
+    import random as _random
+
+    rng = _random.Random(seed)
+    n = rng.randrange(1, 40)
+    g = random_graph(n, rng.randrange(0, min(3 * n, n * (n - 1) // 2) + 1), seed)
+    greedy = greedy_maximal_matching(g)
+    for matching in (greedy, tuple(p for p in greedy if rng.random() < 0.5)):
+        gm, cmap = contract_matching(g, matching)
+        ref, ref_cmap = contract_by_edge_set(g, matching)
+        assert (gm.n, gm.adj, gm.m, cmap) == (ref.n, ref.adj, ref.m, ref_cmap)
 
 
 def _cfg_fraction(d):

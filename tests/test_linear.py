@@ -194,6 +194,33 @@ def test_solve_counts_over_the_shallower_forest(monkeypatch):
     assert swapped and swapped < len(built)
 
 
+def test_simplicial_level_builds_the_improved_graph_once(monkeypatch):
+    # the matching contracts three disjoint edges to three isolated vertices,
+    # which the next level lifts as simplicial
+    from tdsolve import graph
+
+    kinds, builds = [], []
+
+    def step(*args):
+        out = real_step(*args)
+        kinds.append(out.kind)
+        return out
+
+    def improve(*args):
+        builds.append(args)
+        return real_improve(*args)
+
+    real_step, real_improve = linear.bodlaender_step, graph.improved_graph
+    monkeypatch.setattr(linear, "bodlaender_step", step)
+    monkeypatch.setattr(graph, "improved_graph", improve)
+    monkeypatch.setattr(linear, "improved_graph", improve, raising=False)
+    g = disjoint_union(path(2), path(2), path(2))
+    f = solve_randomized(g, 2, CFG, random.Random(0))
+    assert kinds == ["matching", "simplicial"]
+    assert len(builds) == len(kinds)
+    assert f is not None and validate_elimination_forest(g, f, 2)
+
+
 def record_finder_counts(monkeypatch):
     """Per call of the color-coding finder: the level graph's size, the
     budget, the result and the (n, d, weighted?) of each count_elim_trees
