@@ -10,10 +10,12 @@ runs alternate between them, so a drift in machine speed hits both alike.
 The table gives, per case and tree, the minimum CPU time over the runs and
 the depth of the forest found ("none" for an infeasible verdict); a
 validation case shows the depth of the forest it checked, or "none" when the
-check fails, and the contraction case the number of levels it contracted.
+check fails, the contraction case the number of levels it contracted, and
+the split case the number of components it found.
 
 Cases (randomized solves use random.Random(seed); the validation case checks
-the chain forest 0 -> 1 -> ... -> 3999, built before the clock starts):
+the chain forest 0 -> 1 -> ... -> 3999, and the split case splits along the
+DFS forest of its graph, both built before the clock starts):
   rand-path23-d5      solve_randomized(path(23), 5)
   rand-cycle12-d5     solve_randomized(cycle(12), 5)
   rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible
@@ -24,6 +26,8 @@ the chain forest 0 -> 1 -> ... -> 3999, built before the clock starts):
   contract-rg5000     g = random_graph(5000, 15000, 1), then
                       g = contract_matching(g, greedy_maximal_matching(g))
                       until g has no edge
+  split-rg5000        split_components(g, dfs_elimination_forest(g)) on
+                      g = random_graph(5000, 4000, 1)
 """
 
 import argparse
@@ -42,6 +46,7 @@ CASES = {
     "det-path15-d4": ("deterministic", "path", (15,), 4),
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),
     "contract-rg5000": ("contract", "random_graph", (5000, 15000, 1), None),
+    "split-rg5000": ("split", "random_graph", (5000, 4000, 1), None),
 }
 
 
@@ -53,8 +58,8 @@ def child(src: str, name: str, seed: int) -> None:
     sys.path.insert(0, os.path.abspath(src))
     from tdsolve import oracle
     from tdsolve.construct import solve_deterministic
-    from tdsolve.forest import RootedForest, validate_elimination_forest
-    from tdsolve.graph import contract_matching, greedy_maximal_matching
+    from tdsolve.forest import RootedForest, split_components, validate_elimination_forest
+    from tdsolve.graph import contract_matching, dfs_elimination_forest, greedy_maximal_matching
     from tdsolve.linear import solve_randomized
 
     if not os.path.abspath(oracle.__file__).startswith(os.path.abspath(src) + os.sep):
@@ -62,8 +67,11 @@ def child(src: str, name: str, seed: int) -> None:
     mode, shape, args, d = CASES[name]
     g = getattr(oracle, shape)(*args)
     chain = RootedForest([i - 1 for i in range(g.n)])
+    t = dfs_elimination_forest(g) if mode == "split" else None
     start = time.process_time()
-    if mode == "contract":
+    if mode == "split":
+        depth = len(split_components(g, t))
+    elif mode == "contract":
         depth = 0
         while g.m:
             g, _ = contract_matching(g, greedy_maximal_matching(g))

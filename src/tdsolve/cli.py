@@ -15,7 +15,7 @@ from .construct import solve_deterministic
 from .counting import count_elim_forests
 from .forest import RootedForest, merge_forests, validate_elimination_forest
 from .graph import Graph, connected_components, dfs_elimination_forest
-from .linear import LinearConfig, solve_randomized
+from .linear import solve_randomized
 
 
 def parse_pace_graph(text: str) -> Graph:
@@ -59,8 +59,7 @@ def emit_pace_forest(f: RootedForest) -> str:
     (0 marks a root)."""
     lines = [str(f.max_depth)]
     for v in range(f.n):
-        p = f.parent(v)
-        lines.append("0" if p is None else str(p + 1))
+        lines.append(str(f.parent(v) + 1))
     return "\n".join(lines) + "\n"
 
 
@@ -88,16 +87,15 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _solve(g: Graph, d: int, mode: str, cfg: LinearConfig, seed: int):
-    """Solve each connected component on its own, stopping at the first
-    infeasible one; component i of a randomized run gets the seed
-    seed + 10007 * i."""
+def _solve(g: Graph, d: int, mode: str, seed: int):
+    """The deterministic solver splits g into components itself.  A
+    randomized run solves each connected component on its own, stopping at
+    the first infeasible one; component i gets the seed seed + 10007 * i."""
+    if mode == "deterministic":
+        return solve_deterministic(g, d)
     parts = []
-    for i, (verts, sub, _) in enumerate(connected_components(g)):
-        if mode == "deterministic":
-            f = solve_deterministic(sub, d)
-        else:
-            f = solve_randomized(sub, d, cfg, random.Random(seed + 10007 * i))
+    for i, (verts, sub) in enumerate(connected_components(g)):
+        f = solve_randomized(sub, d, rng=random.Random(seed + 10007 * i))
         if f is None:
             return None
         parts.append((verts, f))
@@ -119,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--validate", metavar="FOREST", default=None,
                     help="validate a PACE solution file against the graph")
     ap.add_argument("--oracle", action="store_true", help="brute-force treedepth (small graphs only)")
-    ap.add_argument("--const-C", type=int, default=1, dest="const_c", help="error-exponent constant")
-    ap.add_argument("--const-B", type=int, default=None, dest="const_b", help="fixed color count override")
-    ap.add_argument("--const-bod", type=int, default=72, dest="const_bod",
-                    help="reduction fraction factor: c(d) = const * (d+1)^6")
     ap.add_argument("--trunc-check", action="store_true",
                     help="with --count-only: recount at an uncapped degree bound and compare")
     return ap
@@ -176,11 +170,9 @@ def main(argv=None) -> int:
         print("error: need --max-depth or --optimize", file=sys.stderr)
         return 2
 
-    cfg = LinearConfig(error_exponent=args.const_c, bod_factor=args.const_bod,
-                       color_override=args.const_b)
     budgets = [args.max_depth] if not args.optimize else list(range(1, max(g.n, 1) + 1))
     for d in budgets:
-        f = _solve(g, d, args.mode, cfg, args.seed)
+        f = _solve(g, d, args.mode, args.seed)
         if f is not None:
             sys.stdout.write(emit_pace_forest(f))
             return 0

@@ -98,7 +98,7 @@ def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
     if d < 1:
         return None
     parts = []
-    for verts, sub, _ in connected_components(g):
+    for verts, sub in connected_components(g):
         f = None if structurally_infeasible(sub, d) else _compress_component(sub, d)
         if f is None:
             return None

@@ -197,10 +197,10 @@ def _top_coefficients(
             check_coeffs(u, acc, bound_limits[u] // bound_base, allowed)
         return acc
 
-    def fresh(u: int, w: int | None, maxp: int, allowed: int, out: list) -> None:
+    def fresh(u: int, w: int, maxp: int, allowed: int, out: list) -> None:
         """Add to out the placements of u at the tip of a fresh chain of 1 to
         maxp vertices hung below skeleton vertex w (a new skeleton root when
-        w is None).  The chain's interior vertices are summed with alternating
+        w is -1).  The chain's interior vertices are summed with alternating
         signs over the subsets opened for reuse, and the chain length is
         repaid by shifting down.  Only the tip at skeleton index 0 picks up
         u's weight."""
@@ -300,7 +300,7 @@ def _top_coefficients(
     # new skeleton
     r = t.roots[0]
     total: list = []
-    fresh(r, None, min(d, tree_size[r]), 0, total)
+    fresh(r, -1, min(d, tree_size[r]), 0, total)
     return total
 
 

@@ -1,9 +1,12 @@
 """Rooted forests on dense 0-indexed vertex sets: ancestor machinery,
 elimination-forest validation (O(n + m), by preorder intervals), the
 counter's skeleton tree, and the surgeries used by both solver drivers (the
-split of a graph and its forest into components, vertex removal, root
-attachment, contraction expansion, simplicial lifting).
+split of a graph and its forest into components from one component
+labelling, vertex removal, root attachment, contraction expansion,
+simplicial lifting).
 
+A parent of -1 marks a root, in the arrays forests are built from and in
+what `RootedForest.parent` and `PrefixTree.add_child` take and return.
 Forests are immutable after construction.  Operations that shrink or grow
 the vertex set reindex it the same way graph operations do: surviving
 vertices keep their relative order.
@@ -11,7 +14,7 @@ vertices keep their relative order.
 
 from __future__ import annotations
 
-from .graph import Graph, component_labels, connected_components
+from .graph import Graph, connected_components
 
 
 class RootedForest:
@@ -48,9 +51,9 @@ class RootedForest:
         self._depth = depth
         self._order = order
 
-    def parent(self, v: int) -> int | None:
-        p = self._parent[v]
-        return None if p < 0 else p
+    def parent(self, v: int) -> int:
+        """The parent of v, or -1 for a root."""
+        return self._parent[v]
 
     def parent_array(self) -> list[int]:
         return list(self._parent)
@@ -134,11 +137,11 @@ class PrefixTree:
     def __len__(self):
         return len(self.parent)
 
-    def add_child(self, w: int | None) -> int:
-        """Append a vertex below w (a new root when w is None); returns its index."""
+    def add_child(self, w: int) -> int:
+        """Append a vertex below w (a new root when w is -1); returns its index."""
         idx = len(self.parent)
         bit = 1 << idx
-        if w is None:
+        if w < 0:
             self.parent.append(-1)
             self.depth.append(1)
             self.anc.append(bit)
@@ -148,7 +151,7 @@ class PrefixTree:
             self.anc.append(self.anc[w] | bit)
         self.desc.append(bit)
         desc, parent = self.desc, self.parent
-        while w is not None and w >= 0:
+        while w >= 0:
             desc[w] |= bit
             w = parent[w]
         if self.depth[idx] >= self.limit:
@@ -196,46 +199,30 @@ def validate_elimination_forest(g: Graph, f: RootedForest, d: int) -> bool:
     return unbound_edge(g, f) is None
 
 
-def restrict_to_components(g: Graph, f: RootedForest) -> RootedForest:
-    """Per-component forest with the ancestor relation inherited from f: the
-    parent of u becomes its deepest proper f-ancestor inside u's component.
-    Depths never increase."""
-    comp_id = component_labels(g)[0]
-    parent = [-1] * g.n
-    for v in range(g.n):
-        p = f.parent(v)
-        while p is not None and comp_id[p] != comp_id[v]:
-            p = f.parent(p)
-        parent[v] = -1 if p is None else p
-    return RootedForest(parent)
-
-
-def induced_forest(f: RootedForest, vertices) -> RootedForest:
-    """Forest on a vertex subset that is closed under parents (e.g. one
-    component after restrict_to_components); reindexed to 0..len-1."""
-    old_of_new = sorted(vertices)
-    new_of_old = {old: new for new, old in enumerate(old_of_new)}
-    parent = []
-    for old in old_of_new:
-        p = f.parent(old)
-        if p is None:
-            parent.append(-1)
-        else:
-            if p not in new_of_old:
-                raise ValueError("subset is not parent-closed")
-            parent.append(new_of_old[p])
-    return RootedForest(parent)
-
-
 def split_components(g: Graph, t: RootedForest) -> list[tuple[list[int], Graph, RootedForest]]:
     """(sorted vertex list, induced subgraph, restricted forest) for each
-    component of g, ordered by least vertex.  A connected g comes back with
-    its own g and t, since restricting to one component keeps every parent."""
+    component of g, ordered by least vertex.  The parent of a vertex in its
+    component's forest is its deepest proper t-ancestor inside that
+    component, so depths never increase.  A connected g comes back with its
+    own g and t, since restricting to one component keeps every parent."""
     comps = connected_components(g)
     if len(comps) == 1:
         return [(comps[0][0], g, t)]
-    rt = restrict_to_components(g, t)
-    return [(verts, sub, induced_forest(rt, verts)) for verts, sub, _ in comps]
+    comp = [0] * g.n
+    local = [0] * g.n
+    for c, (verts, _) in enumerate(comps):
+        for i, v in enumerate(verts):
+            comp[v] = c
+            local[v] = i
+    tparent = t._parent
+    parents = [[] for _ in comps]
+    for v in range(g.n):  # ascending, so each component's vertices in list order
+        c = comp[v]
+        p = tparent[v]
+        while p >= 0 and comp[p] != c:
+            p = tparent[p]
+        parents[c].append(local[p] if p >= 0 else -1)
+    return [(verts, sub, RootedForest(parent)) for (verts, sub), parent in zip(comps, parents)]
 
 
 def remove_vertex(f: RootedForest, v: int) -> RootedForest:
@@ -249,10 +236,7 @@ def remove_vertex(f: RootedForest, v: int) -> RootedForest:
         p = f.parent(u)
         if p == v:
             p = pv
-        if p is None:
-            parent.append(-1)
-        else:
-            parent.append(p - 1 if p > v else p)
+        parent.append(p - 1 if p > v else p)
     return RootedForest(parent)
 
 
@@ -265,7 +249,7 @@ def attach_root(f: RootedForest, v: int) -> RootedForest:
     for u in range(f.n):
         nu = u + 1 if u >= v else u
         p = f.parent(u)
-        if p is None:
+        if p < 0:
             parent[nu] = v
         else:
             parent[nu] = p + 1 if p >= v else p
@@ -280,7 +264,7 @@ def merge_forests(n: int, parts) -> RootedForest:
     for verts, local in parts:
         for i, old in enumerate(verts):
             p = local.parent(i)
-            parent[old] = -1 if p is None else verts[p]
+            parent[old] = -1 if p < 0 else verts[p]
     return RootedForest(parent)
 
 
@@ -293,7 +277,7 @@ def expand_contracted_forest(f: RootedForest, cmap: list[tuple], n: int) -> Root
         pre = cmap[x]
         p = f.parent(x)
         top = pre[0]
-        parent[top] = -1 if p is None else cmap[p][-1]
+        parent[top] = -1 if p < 0 else cmap[p][-1]
         if len(pre) == 2:
             parent[pre[1]] = top
     return RootedForest(parent)
@@ -320,7 +304,7 @@ def lift_simplicial(
     placed = [False] * n
     for i, old in enumerate(kept):
         p = f.parent(i)
-        parent[old] = -1 if p is None else kept[p]
+        parent[old] = -1 if p < 0 else kept[p]
         depth[old] = f.depth_of(i)
         placed[old] = True
     for v in ordered_a:

@@ -115,20 +115,20 @@ def component_labels(g: Graph) -> tuple[list[int], int]:
     return label, k
 
 
-def connected_components(g: Graph) -> list[tuple[list[int], Graph, list[int]]]:
-    """Partition into components: (sorted vertex list, induced graph, new->old map),
-    ordered by least vertex.
+def connected_components(g: Graph) -> list[tuple[list[int], Graph]]:
+    """Partition into components: (sorted vertex list, induced graph) pairs,
+    ordered by least vertex; local vertex i of a component is its i-th
+    listed vertex.
 
     A connected g is its own only component, so a lower bound recorded on g
     stays with it."""
     label, k = component_labels(g)
     if k == 1:
-        comp = list(range(g.n))
-        return [(comp, g, list(comp))]
+        return [(list(range(g.n)), g)]
     comps = [[] for _ in range(k)]
     for v, c in enumerate(label):
         comps[c].append(v)
-    return [(comp, *induced_subgraph(g, comp)) for comp in comps]
+    return [(comp, induced_subgraph(g, comp)[0]) for comp in comps]
 
 
 def dfs_elimination_forest(g: Graph):

@@ -157,7 +157,7 @@ def closure(f: RootedForest, vs) -> set:
     out = set()
     for v in vs:
         u = v
-        while u is not None and u not in out:
+        while u >= 0 and u not in out:
             out.add(u)
             u = f.parent(u)
     return out

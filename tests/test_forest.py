@@ -9,10 +9,8 @@ from tdsolve.forest import (
     RootedForest,
     attach_root,
     expand_contracted_forest,
-    induced_forest,
     lift_simplicial,
     remove_vertex,
-    restrict_to_components,
     split_components,
     unbound_edge,
     validate_elimination_forest,
@@ -187,23 +185,14 @@ def test_counter_names_the_first_unbound_edge():
 
 
 def test_restrict_splits_isolated_vertices():
-    g = empty_graph(2)
-    r = restrict_to_components(g, chain(2))
-    assert r.parent_array() == [-1, -1]
-    assert r.max_depth == 1
-
-
-def test_restrict_identity_when_component_respecting():
-    g = path(3)
-    f = RootedForest([1, -1, 1])
-    assert restrict_to_components(g, f) == f
+    parts = split_components(empty_graph(2), chain(2))
+    assert [(verts, subt.parent_array()) for verts, _, subt in parts] == [([0], [-1]), ([1], [-1])]
 
 
 def test_restrict_two_edges_chain():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    r = restrict_to_components(g, chain(4))
-    assert r.parent_array() == [-1, 0, -1, 2]
-    assert r.max_depth == 2
+    parts = split_components(g, chain(4))
+    assert [(verts, subt.parent_array()) for verts, _, subt in parts] == [([0, 1], [-1, 0]), ([2, 3], [-1, 0])]
 
 
 @given(st.integers(0, 300))
@@ -215,9 +204,9 @@ def test_restrict_never_deepens(seed):
 
     g = random_graph(n, (seed % (n * (n - 1) // 2 + 1)), seed)
     f = chain(n)
-    r = restrict_to_components(g, f)
-    for v in range(n):
-        assert r.depth_of(v) <= f.depth_of(v)
+    for verts, _, subt in split_components(g, f):
+        for i, v in enumerate(verts):
+            assert subt.depth_of(i) <= f.depth_of(v)
 
 
 def test_remove_middle_of_chain():
@@ -348,14 +337,6 @@ def test_check_sensible_filters_some_tree():
     assert all(check_sensible(g, chain_t, r) for r in all_elimination_trees(g, 3))
 
 
-def test_induced_forest_requires_parent_closed_subset():
-    f = chain(3)
-    with pytest.raises(ValueError):
-        induced_forest(f, [2])
-    sub = induced_forest(f, [0, 1])
-    assert sub.parent_array() == [-1, 0]
-
-
 def test_split_components_keeps_a_connected_graph_and_its_forest():
     for g in [empty_graph(1), path(4), cycle(5), random_tree(9, 3)]:
         for t in [dfs_elimination_forest(g), centroid_forest(g), chain(g.n)]:
@@ -376,12 +357,41 @@ def test_split_components_matches_restriction_on_disconnected_graphs():
             if len(comps) == 1:
                 continue
             split += 1
-            rt = restrict_to_components(g, t)
-            for (verts, sub, subt), (cverts, csub, _) in zip(parts, comps):
+            for (verts, sub, subt), (cverts, csub) in zip(parts, comps):
                 assert verts == cverts and sub.adj == csub.adj
-                assert subt == induced_forest(rt, verts)
+                # reference: the deepest proper t-ancestor inside the component
+                expected = []
+                for v in verts:
+                    above = [u for u in verts if u != v and t.is_ancestor(u, v)]
+                    top = max(above, key=t.depth_of, default=None)
+                    expected.append(-1 if top is None else verts.index(top))
+                assert subt.parent_array() == expected
                 assert validate_elimination_forest(sub, subt, t.max_depth)
     assert split > 50
+
+
+def test_split_labels_the_components_once(monkeypatch):
+    from tdsolve import forest, graph
+
+    calls = []
+    real = graph.component_labels
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    # also where forest.py would call it by an imported name
+    for module in (graph, forest):
+        monkeypatch.setattr(module, "component_labels", counting, raising=False)
+    parts = split_components(Graph.from_edges(6, [(0, 3), (1, 4), (3, 5)]), chain(6))
+    assert [verts for verts, _, _ in parts] == [[0, 3, 5], [1, 4], [2]]
+    assert calls == [6]
+
+
+def test_parent_of_a_root_is_minus_one():
+    for f in [RootedForest([-1]), chain(4), RootedForest([-1, 0, -1, 2, -1]), dfs_elimination_forest(cycle(6))]:
+        assert f.roots and all(f.parent(r) == -1 for r in f.roots)
+        assert all(f.parent(v) >= 0 for v in range(f.n) if v not in f.roots)
 
 
 def test_count_elim_forests_on_a_connected_graph_skips_restriction(monkeypatch):
@@ -389,22 +399,22 @@ def test_count_elim_forests_on_a_connected_graph_skips_restriction(monkeypatch):
     from tdsolve.counting import count_elim_forests, count_elim_trees
     from tdsolve.oracle import connected_graphs_up_to
 
-    def refuse(g, f):
-        raise AssertionError("restrict_to_components called")
+    def refuse(parent):
+        raise AssertionError("RootedForest built")
 
-    monkeypatch.setattr(forest, "restrict_to_components", refuse)
-    for g in connected_graphs_up_to(5):
-        t = dfs_elimination_forest(g)
+    cases = [(g, dfs_elimination_forest(g)) for g in connected_graphs_up_to(5)]
+    two, t2 = empty_graph(2), chain(2)
+    monkeypatch.setattr(forest, "RootedForest", refuse)
+    for g, t in cases:
         for d in range(1, 4):
             assert count_elim_forests(g, t, d) == count_elim_trees(g, t, d)
-    two = empty_graph(2)
-    with pytest.raises(AssertionError, match="restrict_to_components"):
-        count_elim_forests(two, chain(2), 1)
+    with pytest.raises(AssertionError, match="RootedForest built"):
+        count_elim_forests(two, t2, 1)
 
 
 def test_prefix_tree_chain_extension_and_rollback():
     k = PrefixTree(limit=3)
-    root = k.add_child(None)
+    root = k.add_child(-1)
     a = k.add_child(root)
     b = k.add_child(a)
     assert (k.depth[root], k.depth[a], k.depth[b]) == (1, 2, 3)
@@ -430,8 +440,8 @@ def test_prefix_tree_masks_follow_chain_pushes_and_truncation():
                 k.truncate(bases.pop())
             else:
                 bases.append(len(k))
-                w = rng.choice(roomy) if len(k) else None
-                room = limit - (k.depth[w] if w is not None else 0)
+                w = rng.choice(roomy) if len(k) else -1
+                room = limit - (k.depth[w] if w >= 0 else 0)
                 for _ in range(rng.randint(1, room)):
                     w = k.add_child(w)
             desc = [0] * len(k)

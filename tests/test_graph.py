@@ -67,18 +67,17 @@ def test_components_trivial():
 
 def test_component_subgraphs_carry_index_maps():
     g = Graph.from_edges(5, [(1, 3), (0, 4)])
-    for verts, sub, old_of_new in connected_components(g):
-        assert old_of_new == verts
+    for verts, sub in connected_components(g):
         assert sub.n == len(verts)
         for u, v in sub.edges():
-            assert g.has_edge(old_of_new[u], old_of_new[v])
+            assert g.has_edge(verts[u], verts[v])
 
 
 def test_connected_graph_is_its_own_component():
     g = random_tree(9, seed=3)
-    [(verts, sub, old_of_new)] = connected_components(g)
+    [(verts, sub)] = connected_components(g)
     assert sub is g
-    assert verts == old_of_new == list(range(9))
+    assert verts == list(range(9))
 
 
 def test_dfs_forest_single_vertex():
