@@ -10,12 +10,14 @@ runs alternate between them, so a drift in machine speed hits both alike.
 The table gives, per case and tree, the minimum CPU time over the runs and
 the depth of the forest found ("none" for an infeasible verdict); a
 validation case shows the depth of the forest it checked, or "none" when the
-check fails, the contraction case the number of levels it contracted, and
-the split case the number of components it found.
+check fails, the contraction case the number of levels it contracted, the
+split case the number of components it found, and the parse case the number
+of edges it read.
 
 Cases (randomized solves use random.Random(seed); the validation case checks
-the chain forest 0 -> 1 -> ... -> 3999, and the split case splits along the
-DFS forest of its graph, both built before the clock starts):
+the chain forest 0 -> 1 -> ... -> 3999, the split case splits along the DFS
+forest of its graph, and the parse case reads the PACE text of its graph,
+all built before the clock starts):
   rand-path23-d5      solve_randomized(path(23), 5)
   rand-cycle12-d5     solve_randomized(cycle(12), 5)
   rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible
@@ -28,6 +30,8 @@ DFS forest of its graph, both built before the clock starts):
                       until g has no edge
   split-rg5000        split_components(g, dfs_elimination_forest(g)) on
                       g = random_graph(5000, 4000, 1)
+  parse-pace-rg20k    parse_pace_graph on the PACE text of
+                      random_graph(19500, 78000, 1)
 """
 
 import argparse
@@ -47,6 +51,7 @@ CASES = {
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),
     "contract-rg5000": ("contract", "random_graph", (5000, 15000, 1), None),
     "split-rg5000": ("split", "random_graph", (5000, 4000, 1), None),
+    "parse-pace-rg20k": ("parse", "random_graph", (19500, 78000, 1), None),
 }
 
 
@@ -57,6 +62,7 @@ def child(src: str, name: str, seed: int) -> None:
 
     sys.path.insert(0, os.path.abspath(src))
     from tdsolve import oracle
+    from tdsolve.cli import parse_pace_graph
     from tdsolve.construct import solve_deterministic
     from tdsolve.forest import RootedForest, split_components, validate_elimination_forest
     from tdsolve.graph import contract_matching, dfs_elimination_forest, greedy_maximal_matching
@@ -68,8 +74,12 @@ def child(src: str, name: str, seed: int) -> None:
     g = getattr(oracle, shape)(*args)
     chain = RootedForest([i - 1 for i in range(g.n)])
     t = dfs_elimination_forest(g) if mode == "split" else None
+    if mode == "parse":
+        text = "".join([f"p tdp {g.n} {g.m}\n"] + [f"{u + 1} {v + 1}\n" for u, v in g.edges()])
     start = time.process_time()
-    if mode == "split":
+    if mode == "parse":
+        depth = parse_pace_graph(text).m
+    elif mode == "split":
         depth = len(split_components(g, t))
     elif mode == "contract":
         depth = 0

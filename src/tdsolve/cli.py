@@ -8,7 +8,9 @@ Exit status: 0 on success (forest printed, count printed, valid forest),
 from __future__ import annotations
 
 import argparse
+import functools
 import random
+import re
 import sys
 
 from .construct import solve_deterministic
@@ -18,9 +20,50 @@ from .graph import Graph, connected_components, dfs_elimination_forest
 from .linear import solve_randomized
 
 
+# A regular graph file: the header, then one line of two decimal endpoints
+# per edge, every line ended by a newline.  A regular solution file has one
+# decimal number per line.
+_REGULAR_GRAPH = re.compile(r"p tdp ([0-9]+) ([0-9]+)\n(?:[0-9]+[ \t]+[0-9]+\n)*")
+_REGULAR_FOREST = re.compile(r"(?:[0-9]+\n)*")
+
+
 def parse_pace_graph(text: str) -> Graph:
     """PACE 2020 `tdp` input: header `p tdp <n> <m>`, then m edge lines with
-    1-based endpoints; `c` comment lines are skipped anywhere."""
+    1-based endpoints; `c` comment lines are skipped anywhere.
+
+    A regular file is read in bulk; any other text, and every malformed one,
+    is left to the line parser."""
+    g = _parse_regular_graph(text)
+    return g if g is not None else _parse_pace_lines(text)
+
+
+def _parse_regular_graph(text: str) -> Graph | None:
+    """The graph of a regular file whose edges are in range, loop-free,
+    distinct and as many as declared; None for any other text."""
+    hit = _REGULAR_GRAPH.fullmatch(text)
+    if hit is None:
+        return None
+    n, m = int(hit[1]), int(hit[2])
+    ends = list(map(int, text[hit.end(2) + 1:].split()))
+    if len(ends) != 2 * m or (m and (min(ends) < 1 or max(ends) > n)):
+        return None
+    adj = [[] for _ in range(n + 1)]  # indexed 1..n while filling
+    it = iter(ends)
+    for u, v in zip(it, it):
+        adj[u].append(v - 1)
+        adj[v].append(u - 1)
+    del adj[0]
+    for lst in adj:
+        lst.sort()
+    # a loop or a repeated edge repeats an entry of some sorted list
+    if sum(map(len, map(set, adj))) != 2 * m:
+        return None
+    return Graph(n, adj, m)
+
+
+def _parse_pace_lines(text: str) -> Graph:
+    """parse_pace_graph one line at a time: the parser of irregular input and
+    the source of every error message."""
     n = None
     m_declared = None
     edges = []
@@ -64,7 +107,18 @@ def emit_pace_forest(f: RootedForest) -> str:
 
 
 def parse_pace_forest(text: str, n: int) -> tuple[int, RootedForest]:
-    """Solution file: claimed depth, then n parent lines."""
+    """Solution file: claimed depth, then n parent lines.  A regular file
+    with n+1 numbers, none above n, is read in bulk; any other text, and
+    every malformed one, is left to the line parser."""
+    if _REGULAR_FOREST.fullmatch(text):
+        vals = list(map(int, text.split()))
+        if len(vals) == n + 1 and max(vals) <= n:
+            return vals[0], RootedForest([p - 1 for p in vals[1:]])
+    return _parse_forest_lines(text, n)
+
+
+def _parse_forest_lines(text: str, n: int) -> tuple[int, RootedForest]:
+    """parse_pace_forest one line at a time."""
     vals = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -102,7 +156,10 @@ def _solve(g: Graph, d: int, mode: str, seed: int):
     return merge_forests(g.n, parts)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(
         prog="tdsolve",
         description="Exact treedepth: find an elimination forest of depth at most d or report td > d.",

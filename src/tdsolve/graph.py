@@ -126,9 +126,17 @@ def connected_components(g: Graph) -> list[tuple[list[int], Graph]]:
     if k == 1:
         return [(list(range(g.n)), g)]
     comps = [[] for _ in range(k)]
+    local = [0] * g.n
     for v, c in enumerate(label):
+        local[v] = len(comps[c])
         comps[c].append(v)
-    return [(comp, induced_subgraph(g, comp)[0]) for comp in comps]
+    out = []
+    for comp in comps:
+        # every neighbour is in the component, and local indices keep the
+        # order of g's, so each list comes out sorted
+        adj = [[local[w] for w in g.adj[v]] for v in comp]
+        out.append((comp, Graph(len(comp), adj, sum(map(len, adj)) // 2)))
+    return out
 
 
 def dfs_elimination_forest(g: Graph):
@@ -138,8 +146,15 @@ def dfs_elimination_forest(g: Graph):
     """
     from .forest import RootedForest
 
+    return RootedForest(_dfs(g)[0])
+
+
+def _dfs(g: Graph) -> tuple[list[int], int]:
+    """The parent array of dfs_elimination_forest and its depth, the
+    deepest the DFS stack gets."""
     parent = [-1] * g.n
     seen = [False] * g.n
+    deepest = 0
     for s in range(g.n):
         if seen[s]:
             continue
@@ -147,17 +162,17 @@ def dfs_elimination_forest(g: Graph):
         stack = [(s, iter(g.adj[s]))]
         while stack:
             u, it = stack[-1]
-            advanced = False
             for w in it:
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = u
                     stack.append((w, iter(g.adj[w])))
-                    advanced = True
                     break
-            if not advanced:
+            else:
+                if len(stack) > deepest:
+                    deepest = len(stack)
                 stack.pop()
-    return RootedForest(parent)
+    return parent, deepest
 
 
 def centroid_forest(g: Graph):
@@ -250,7 +265,7 @@ def recorded_lower_bound(g: Graph) -> int:
 def _lower_bound(g: Graph) -> int:
     if g.n == 0:
         return 0
-    dfs_depth = dfs_elimination_forest(g).max_depth
+    dfs_depth = _dfs(g)[1]
     bound = (dfs_depth + 1).bit_length() - 1
     if (1 << bound) < dfs_depth + 1:
         bound += 1

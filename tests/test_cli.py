@@ -5,8 +5,19 @@ import sys
 import pytest
 
 import tdsolve
-from tdsolve.cli import emit_pace_forest, main, parse_pace_forest, parse_pace_graph
+from tdsolve import cli
+from tdsolve.cli import (
+    _parse_forest_lines,
+    _parse_pace_lines,
+    _parse_regular_graph,
+    build_parser,
+    emit_pace_forest,
+    main,
+    parse_pace_forest,
+    parse_pace_graph,
+)
 from tdsolve.forest import RootedForest, validate_elimination_forest
+from tdsolve.oracle import connected_graphs_up_to, empty_graph, random_graph
 
 
 P3 = "p tdp 3 2\n1 2\n2 3\n"
@@ -36,6 +47,126 @@ def test_parse_rejects_count_mismatch_and_dupes():
         parse_pace_graph("p tdp 2 1\n1 1")
     with pytest.raises(ValueError):
         parse_pace_graph("1 2\np tdp 2 1")
+
+
+def pace_text(g):
+    return "".join([f"p tdp {g.n} {g.m}\n"] + [f"{u + 1} {v + 1}\n" for u, v in g.edges()])
+
+
+def outcome(parse, *args):
+    """What a parser makes of its input: the parsed value, or its error."""
+    try:
+        got = parse(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(got, tuple):
+        claimed, f = got
+        return claimed, f.parent_array()
+    return got.n, got.m, got.adj
+
+
+def test_bulk_parse_matches_line_parse():
+    graphs = list(connected_graphs_up_to(5)) + [empty_graph(0), empty_graph(4)]
+    graphs += [random_graph(n, min(3 * n, n * (n - 1) // 2), seed) for seed, n in enumerate([2, 7, 40, 150, 300])]
+    graphs += [random_graph(300, 150, 9)]
+    for g in graphs:
+        text = pace_text(g)
+        bulk = _parse_regular_graph(text)
+        assert bulk is not None, text
+        assert (bulk.n, bulk.m, bulk.adj) == outcome(_parse_pace_lines, text) == (g.n, g.m, g.adj)
+
+
+IRREGULAR_GRAPHS = [
+    "c first\np tdp 3 2\n1 2\n2 3\n",  # comment first
+    "p tdp 3 2\n1 2\nc between\n2 3\n",  # comment between edges
+    "p tdp 3 2\n1 2\n\n2 3\n",  # blank line
+    "p tdp 3 2\r\n1 2\r\n2 3\r\n",  # CRLF
+    "p tdp 3 2\n1\t2\n2 \t 3\n",  # tabs
+    "p\ttdp 3 2\n1 2\n2 3\n",  # tab in the header
+    "p tdp 3 2\n1 2 \n2 3\n",  # trailing space
+    "p tdp 3 2 \n1 2\n2 3\n",  # trailing space after the header
+    " 1 2\n",  # leading space, no header
+    "p tdp 3 2\n1 2\n2 3",  # no final newline
+    "p tdp 3 0",  # header only, no final newline
+    "p tdp 0 0\n",
+    "",
+    "p tdp 3 2\n+1 2\n2 3\n",  # signed token
+    "p tdp 12 1\n1_0 2\n",  # underscore in a token
+    "p tdp 3 2\n1 2 3\n2 3\n",  # three tokens
+    "p tdp 3 2\n1 1\n2 3\n",  # self-loop
+    "p tdp 3 2\n1 2\n2 1\n",  # duplicate, both orientations
+    "p tdp 3 2\n1 2\n1 2\n",  # duplicate, same orientation
+    "p tdp 3 1\n0 1\n",  # endpoint 0
+    "p tdp 3 1\n1 4\n",  # endpoint n+1
+    "p tdp 0 1\n1 1\n",  # an edge in an empty graph
+    "p tdp 3 1\n1 2\n2 3\n",  # m too low
+    "p tdp 3 3\n1 2\n2 3\n",  # m too high
+    "p tdp 3 1\n1 2\n2 1\n",  # m too low, by a duplicate
+    "1 2\np tdp 3 1\n",  # edge before the header
+    "p tdp 3 1\np tdp 3 1\n1 2\n",  # duplicate header
+    "p tdp three 1\n1 2\n",  # non-decimal header
+    "p tdp 3 x\n1 2\n",  # non-decimal edge count
+    "p tdp 3 1 1\n1 2\n",  # five header fields
+    "p tdp 3 1\n1 x\n",  # non-decimal endpoint
+    "p tdp 3 1\n\u0661 2\n",  # a non-ASCII digit
+]
+
+
+@pytest.mark.parametrize("text", IRREGULAR_GRAPHS)
+def test_parse_graph_agrees_with_line_parser(text):
+    bulk = _parse_regular_graph(text)  # never raises
+    expected = outcome(_parse_pace_lines, text)
+    assert outcome(parse_pace_graph, text) == expected
+    if bulk is not None:
+        assert (bulk.n, bulk.m, bulk.adj) == expected
+
+
+IRREGULAR_FORESTS = [
+    ("2\n2\n0\n2\n", 3),  # regular
+    ("c note\n2\n2\n0\n2\n", 3),  # comment first
+    ("2\n2\nc note\n0\n2\n", 3),  # comment between parents
+    ("2\n2\n\n0\n2\n", 3),  # blank line
+    ("2\r\n2\r\n0\r\n2\r\n", 3),  # CRLF
+    ("2\n2\n0\n2", 3),  # no final newline
+    ("2\n 2\n0\n2 \n", 3),  # spaces around a number
+    ("2\n+2\n0\n2\n", 3),  # signed token
+    ("2\n2 0\n2\n", 3),  # two tokens on a line
+    ("2\n2\n0\n", 3),  # too few parents
+    ("2\n2\n0\n2\n2\n", 3),  # too many parents
+    ("2\n4\n0\n2\n", 3),  # parent n+1
+    ("2\n-1\n0\n2\n", 3),  # negative parent
+    ("2\nx\n0\n2\n", 3),  # non-decimal parent
+    ("9\n0\n1\n", 2),  # claimed depth above n
+    ("2\n2\n1\n", 2),  # a cycle
+    ("0\n", 0),
+    ("", 0),
+]
+
+
+@pytest.mark.parametrize("text,n", IRREGULAR_FORESTS)
+def test_parse_forest_agrees_with_line_parser(text, n):
+    assert outcome(parse_pace_forest, text, n) == outcome(_parse_forest_lines, text, n)
+
+
+def test_regular_graph_file_skips_line_parser(monkeypatch):
+    g = random_graph(1000, 3000, 4)
+
+    def refuse(text):
+        raise AssertionError("line parser used on a regular file")
+
+    monkeypatch.setattr(cli, "_parse_pace_lines", refuse)
+    got = parse_pace_graph(pace_text(g))
+    assert (got.n, got.m, got.adj) == (g.n, g.m, g.adj)
+
+
+def test_regular_forest_file_skips_line_parser(monkeypatch):
+    f = RootedForest([-1] + list(range(999)))
+
+    def refuse(text, n):
+        raise AssertionError("line parser used on a regular file")
+
+    monkeypatch.setattr(cli, "_parse_forest_lines", refuse)
+    assert parse_pace_forest(emit_pace_forest(f), 1000) == (1000, f)
 
 
 def test_emit_examples():
@@ -118,6 +249,19 @@ def test_cli_io_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.gr"
     bad.write_text("p tdp 2 1\n1 3\n")
     assert main([str(bad), "--max-depth", "2"]) == 2
+
+
+def test_cli_calls_share_no_flags(tmp_path, capsys):
+    k4 = "p tdp 4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+    assert build_parser() is build_parser()
+    code, out, err = run_cli(tmp_path, capsys, k4, "--max-depth", "3", "--mode", "randomized")
+    assert code == 1 and "td > 3" in out and "false negative" in err
+    code, out, err = run_cli(tmp_path, capsys, k4, "--max-depth", "3")
+    assert code == 1 and "td > 3" in out and err == ""
+    code, out, _ = run_cli(tmp_path, capsys, k4, "--optimize")
+    assert code == 0 and out.startswith("4\n")
+    code, _, err = run_cli(tmp_path, capsys, k4)
+    assert code == 2 and "max-depth" in err
 
 
 def test_cli_missing_depth_is_usage_error(tmp_path, capsys):

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdsolve import forest
 from tdsolve.graph import (
     Graph,
+    _dfs,
     _simplicial_in,
     bodlaender_step,
     centroid_forest,
@@ -78,6 +80,35 @@ def test_connected_graph_is_its_own_component():
     [(verts, sub)] = connected_components(g)
     assert sub is g
     assert verts == list(range(9))
+
+
+def test_components_match_induced_subgraphs():
+    for seed in range(6):
+        g = disjoint_union(random_graph(30, 20 + 5 * seed, seed), path(4), empty_graph(2), cycle(5))
+        comps = connected_components(g)
+        assert sorted(v for verts, _ in comps for v in verts) == list(range(g.n))
+        for verts, sub in comps:
+            want, old_of_new = induced_subgraph(g, verts)
+            assert old_of_new == verts
+            assert (sub.n, sub.m, sub.adj) == (want.n, want.m, want.adj)
+
+
+def test_dfs_depth_is_dfs_forest_depth():
+    graphs = [empty_graph(0), empty_graph(3), path(9), cycle(7), clique(5)]
+    graphs += [random_graph(40, m, seed) for seed, m in enumerate([10, 39, 80, 200])]
+    for g in graphs:
+        parent, deepest = _dfs(g)
+        f = dfs_elimination_forest(g)
+        assert f.parent_array() == parent and f.max_depth == deepest
+
+
+def test_lower_bound_builds_no_forest(monkeypatch):
+    def refuse(parent):
+        raise AssertionError("RootedForest built")
+
+    monkeypatch.setattr(forest, "RootedForest", refuse)
+    assert treedepth_lower_bound(path(1024)) == 11
+    assert treedepth_lower_bound(random_graph(200, 400, 3)) >= 1
 
 
 def test_dfs_forest_single_vertex():
