@@ -21,6 +21,8 @@ all built before the clock starts):
   rand-path23-d5      solve_randomized(path(23), 5)
   rand-cycle12-d5     solve_randomized(cycle(12), 5)
   rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible
+  rand-star200-d2     solve_randomized(complete_bipartite(1, 199), 2)
+  rand-k2x200-d3      solve_randomized(complete_bipartite(2, 200), 3)
   det-cycle12-d5      solve_deterministic(cycle(12), 5)
   det-path15-d4       solve_deterministic(path(15), 4)
   validate-star4000   validate_elimination_forest(complete_bipartite(1, 3999),
@@ -46,6 +48,8 @@ CASES = {
     "rand-path23-d5": ("randomized", "path", (23,), 5),
     "rand-cycle12-d5": ("randomized", "cycle", (12,), 5),
     "rand-cycle12-d4": ("randomized", "cycle", (12,), 4),
+    "rand-star200-d2": ("randomized", "complete_bipartite", (1, 199), 2),
+    "rand-k2x200-d3": ("randomized", "complete_bipartite", (2, 200), 3),
     "det-cycle12-d5": ("deterministic", "cycle", (12,), 5),
     "det-path15-d4": ("deterministic", "path", (15,), 4),
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),

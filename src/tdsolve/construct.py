@@ -1,7 +1,8 @@
 """Construction driver shared by both solvers, and the deterministic solver:
 an exact root scan on top of the counting engine, guided by the centroid
-forest when it is shallow enough and otherwise wrapped in iterative
-compression, so no auxiliary forest needs to be supplied.
+forest when its depth is at most d+1 (the depth iterative compression counts
+over anyway) and otherwise wrapped in iterative compression, so no auxiliary
+forest needs to be supplied.
 
 The driver runs the self-reduction per connected component: a root finder
 names a vertex v whose removal leaves a feasible instance, the driver
@@ -87,7 +88,7 @@ def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | N
 
 def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
     """Exact-ring self-reduction per component, guided by the centroid forest
-    when its depth is at most d, and otherwise by iterative compression: grow
+    when its depth is at most d+1, and otherwise by iterative compression: grow
     the graph one vertex at a time, repairing a depth-(d+1) tree into a
     depth-d forest at every step.  Both give the same forest, since the exact
     scan's choice of root does not depend on the auxiliary forest.  The
@@ -108,7 +109,7 @@ def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
 
 def _compress_component(g: Graph, d: int) -> RootedForest | None:
     c = centroid_forest(g)
-    if c.max_depth <= d:
+    if c.max_depth <= d + 1:
         return construct_elim_forest(g, c, d)
     f = RootedForest([])
     for i in range(g.n):

@@ -151,27 +151,47 @@ def dfs_elimination_forest(g: Graph):
 
 def _dfs(g: Graph) -> tuple[list[int], int]:
     """The parent array of dfs_elimination_forest and its depth, the
-    deepest the DFS stack gets."""
+    deepest the DFS stack gets.
+
+    The stack holds plain ints and each vertex keeps a cursor into its
+    adjacency list, so a deep search allocates nothing per vertex: per-vertex
+    frame objects would survive into the collector's old generation on long
+    paths and set off full collections of the whole heap.  A leaf is
+    finished where it is found, without a push."""
+    adj = g.adj
     parent = [-1] * g.n
     seen = [False] * g.n
+    cursor = [0] * g.n
     deepest = 0
     for s in range(g.n):
         if seen[s]:
             continue
         seen[s] = True
-        stack = [(s, iter(g.adj[s]))]
-        while stack:
-            u, it = stack[-1]
-            for w in it:
+        stack = [s]
+        u, i = s, 0
+        while True:
+            nb = adj[u]
+            for j in range(i, len(nb)):
+                w = nb[j]
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = u
-                    stack.append((w, iter(g.adj[w])))
+                    if len(adj[w]) == 1:  # its one neighbour is u
+                        if len(stack) >= deepest:
+                            deepest = len(stack) + 1
+                        continue
+                    cursor[u] = j + 1
+                    stack.append(w)
+                    u, i = w, 0
                     break
             else:
                 if len(stack) > deepest:
                     deepest = len(stack)
                 stack.pop()
+                if not stack:
+                    break
+                u = stack[-1]
+                i = cursor[u]
     return parent, deepest
 
 
@@ -364,13 +384,20 @@ class BodlaenderOutcome(NamedTuple):
 
 
 def bodlaender_step(g: Graph, d: int, c_of_d) -> BodlaenderOutcome:
-    """One reduction step: a large maximal matching, a large set of
+    """One reduction step: the larger of a maximal matching and a set of
     improved-simplicial vertices, or the verdict that the budget is hopeless.
 
-    `c_of_d` maps d to the fraction constant: the step succeeds when the
-    matching or the simplicial set has size at least n / c_of_d(d).  The
-    large-clique shortcut in the improved graph is checked first, so complete
-    graphs on d+2 vertices are rejected outright.
+    The candidates are the greedy matching of g and the improved-simplicial
+    vertices that it leaves unmatched and that have degree at most d in g.
+    `c_of_d` maps d to the fraction constant, and a reduction is large
+    enough when it has at least n / c_of_d(d) pairs or vertices.  The
+    matching is contracted when it is large enough and has at least as many
+    pairs as the set has vertices; otherwise the set is lifted when it is
+    large enough, and otherwise the step is too_deep.  Either reduction is
+    sound by Bodlaender's lemma; taking the larger one keeps star-like
+    graphs, whose matchings have one pair, from needing n levels.  The
+    large-clique shortcut in the improved graph is checked first, so
+    complete graphs on d+2 vertices are rejected outright.
     """
     n = g.n
     g_imp = improved_graph(g, d)
@@ -380,10 +407,10 @@ def bodlaender_step(g: Graph, d: int, c_of_d) -> BodlaenderOutcome:
             return BodlaenderOutcome("too_deep")
     threshold = n / c_of_d(d)
     matching = greedy_maximal_matching(g)
-    if len(matching) >= threshold:
-        return BodlaenderOutcome("matching", matching=matching)
     matched = {v for pair in matching for v in pair}
     cand = tuple(v for v in simp if v not in matched and g.degree(v) <= d)
+    if len(matching) >= max(threshold, len(cand)):
+        return BodlaenderOutcome("matching", matching=matching)
     if len(cand) >= threshold:
         return BodlaenderOutcome("simplicial", vertices=cand, improved=g_imp)
     return BodlaenderOutcome("too_deep")

@@ -1,5 +1,6 @@
-"""Randomized driver: matching-contraction recursion, modular counting with
-a single globally sampled prime, and color-coding root recovery.
+"""Randomized driver: a reduction descent (matching contraction or
+simplicial lifting per level, run as a loop), modular counting with a single
+globally sampled prime, and color-coding root recovery.
 
 Infeasible verdicts (None) are sound when they come from the edge-count
 filter, a clique detection, or the small-modulus exact case; a verdict that
@@ -280,10 +281,10 @@ def solve_randomized(
     rng: random.Random | None = None,
 ) -> RootedForest | None:
     """Full randomized pipeline: edge-count filter, reduction by matching
-    contraction or simplicial removal, then linear construction over the
-    shallower of the expanded (or lifted) auxiliary forest and the centroid
-    forest.  Never returns an invalid forest; None may be a false negative
-    (probability bounded by the modulus analysis)."""
+    contraction or simplicial removal (whichever is larger), then linear
+    construction over the shallower of the expanded (or lifted) auxiliary
+    forest and the centroid forest.  Never returns an invalid forest; None
+    may be a false negative (probability bounded by the modulus analysis)."""
     cfg = cfg or LinearConfig()
     rng = rng or random.Random(0)
     if g.n == 0:
@@ -302,27 +303,38 @@ def solve_randomized(
 
 
 def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
-    """Reduction recursion on a graph that passed structurally_infeasible;
-    each smaller graph it makes is filtered before it recurses."""
-    n = g.n
-    if n == 0:
-        return RootedForest([])
-    if n == 1:
-        return RootedForest([-1])
-    step = bodlaender_step(g, d, ctx.cfg.bod_fraction)
-    if step.kind == "too_deep":
-        return None
-    if step.kind == "matching":
-        gm, cmap = contract_matching(g, step.matching)
-        sub = None if structurally_infeasible(gm, d) else _solve(gm, d, ctx)
-        t = None if sub is None else expand_contracted_forest(sub, cmap, n)
-    else:
-        g_imp = step.improved
-        lifted = set(step.vertices)
-        kept = [v for v in range(n) if v not in lifted]
-        h, old_of_new = induced_subgraph(g_imp, kept)
-        sub = None if structurally_infeasible(h, d) else _solve(h, d, ctx)
-        t = None if sub is None else lift_simplicial(sub, old_of_new, g_imp, list(step.vertices), d)
-    if t is None:
-        return None
-    return _build_over_shallower(g, t, d, ctx)
+    """Reduction descent on a graph that passed structurally_infeasible.
+
+    Going down, each level's reduction step contracts a matching or lifts
+    simplicial vertices, and the smaller graph is filtered before the next
+    level; at most one vertex is left at the bottom.  Coming back up, each
+    level expands or lifts the forest of the level below and builds over it.
+    A loop, not a recursion: the reduction lemma promises only n/c(d)
+    vertices per level, so the number of levels must not be bounded by the
+    interpreter's stack."""
+    levels = []  # (graph, step, contraction map or kept vertices)
+    while g.n > 1:
+        step = bodlaender_step(g, d, ctx.cfg.bod_fraction)
+        if step.kind == "too_deep":
+            return None
+        if step.kind == "matching":
+            h, back = contract_matching(g, step.matching)
+        else:
+            lifted = set(step.vertices)
+            h, back = induced_subgraph(step.improved, [v for v in range(g.n) if v not in lifted])
+        if structurally_infeasible(h, d):
+            return None
+        levels.append((g, step, back))
+        g = h
+    f = RootedForest([-1] * g.n)
+    for g, step, back in reversed(levels):
+        if step.kind == "matching":
+            t = expand_contracted_forest(f, back, g.n)
+        else:
+            t = lift_simplicial(f, back, step.improved, list(step.vertices), d)
+            if t is None:
+                return None
+        f = _build_over_shallower(g, t, d, ctx)
+        if f is None:
+            return None
+    return f

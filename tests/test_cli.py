@@ -284,6 +284,15 @@ def test_cli_threads_split_components(tmp_path, capsys):
     assert validate_elimination_forest(parse_pace_graph(g), f, 2)
 
 
+def test_cli_randomized_star1500_descends_without_recursion(tmp_path, capsys):
+    # one level per leaf used to overflow the interpreter's stack here
+    text = "".join([f"p tdp 1500 1499\n"] + [f"1 {v}\n" for v in range(2, 1501)])
+    code, out, _ = run_cli(tmp_path, capsys, text, "--mode", "randomized", "--max-depth", "2")
+    assert code == 0
+    claimed, f = parse_pace_forest(out, 1500)
+    assert claimed <= 2 and validate_elimination_forest(parse_pace_graph(text), f, 2)
+
+
 def test_cli_round_trip_solver_output(tmp_path, capsys):
     code, out, _ = run_cli(tmp_path, capsys, P3, "--max-depth", "2")
     assert code == 0

@@ -113,8 +113,8 @@ def compress(g, d):
 
 def test_solve_skips_compression_when_the_centroid_forest_fits(monkeypatch):
     # the exact scan picks the same roots over any auxiliary forest, so one
-    # construction over a centroid forest of depth <= d gives the forest that
-    # compression gives
+    # construction over a centroid forest of depth <= d+1 gives the forest
+    # that compression gives
     prefixes = []
     real_prefix = construct.prefix_subgraph
 
@@ -129,7 +129,7 @@ def test_solve_skips_compression_when_the_centroid_forest_fits(monkeypatch):
         for d in range(1, 6):
             prefixes.clear()
             f = solve_deterministic(g, d)
-            if depth <= d:
+            if depth <= d + 1:
                 assert not prefixes
                 fits += 1
             elif prefixes:

@@ -68,7 +68,7 @@ GOLDEN = {
     ("sparse9", "det", 3): (1, "td > 3\n"),
     ("sparse9", "det", 4): (0, "4\n0\n4\n2\n1\n2\n2\n4\n7\n1\n"),
     ("sparse9", "ran", 3): (1, "td > 3\n"),
-    ("sparse9", "ran", 4): (0, "4\n7\n0\n2\n5\n7\n2\n2\n1\n1\n"),
+    ("sparse9", "ran", 4): (0, "4\n7\n7\n2\n2\n0\n2\n5\n1\n1\n"),
     ("union", "det", 3): (1, "td > 3\n"),
     ("union", "det", 4): (0, "4\n0\n1\n4\n2\n4\n0\n6\n9\n7\n9\n"),
     ("union", "ran", 3): (1, "td > 3\n"),

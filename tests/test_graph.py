@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +102,48 @@ def test_dfs_depth_is_dfs_forest_depth():
         parent, deepest = _dfs(g)
         f = dfs_elimination_forest(g)
         assert f.parent_array() == parent and f.max_depth == deepest
+
+
+def reference_dfs(g):
+    """Recursive DFS from each unvisited vertex ascending, neighbours
+    ascending: the parent array and the deepest recursion."""
+    parent, seen, deepest = [-1] * g.n, [False] * g.n, 0
+
+    def visit(u, depth):
+        nonlocal deepest
+        seen[u] = True
+        deepest = max(deepest, depth)
+        for w in g.adj[u]:
+            if not seen[w]:
+                parent[w] = u
+                visit(w, depth + 1)
+
+    for s in range(g.n):
+        if not seen[s]:
+            visit(s, 1)
+    return parent, deepest
+
+
+def test_dfs_matches_recursive_reference():
+    for seed in range(40):
+        n = 1 + seed % 37
+        graphs = [random_graph(n, min(seed * 3 % 61, n * (n - 1) // 2), seed), random_tree(n, seed)]
+        graphs += [complete_bipartite(1 + seed % 3, n), disjoint_union(path(n), empty_graph(seed % 3))]
+        for g in graphs:
+            assert _dfs(g) == reference_dfs(g), (seed, list(g.edges()))
+
+
+def test_dfs_holds_no_object_per_vertex():
+    # per-vertex stack frames outlive young-generation collections on deep
+    # searches and set off full collections of the whole heap
+    g = path(20000)
+    tracemalloc.start()
+    try:
+        _dfs(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * g.n
 
 
 def test_lower_bound_builds_no_forest(monkeypatch):

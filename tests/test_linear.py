@@ -1,10 +1,19 @@
 import random
+import sys
+
+import pytest
 
 from tdsolve.construct import solve_deterministic
 from tdsolve.counting import count_elim_trees
 from tdsolve.forest import RootedForest, validate_elimination_forest
 from tdsolve import linear
-from tdsolve.graph import centroid_forest, dfs_elimination_forest
+from tdsolve.graph import (
+    BodlaenderOutcome,
+    Graph,
+    centroid_forest,
+    dfs_elimination_forest,
+    greedy_maximal_matching,
+)
 from tdsolve.linear import (
     LinearConfig,
     choose_modulus,
@@ -218,6 +227,67 @@ def test_simplicial_level_builds_the_improved_graph_once(monkeypatch):
     f = solve_randomized(g, 2, CFG, random.Random(0))
     assert kinds == ["matching", "simplicial"]
     assert len(builds) == len(kinds)
+    assert f is not None and validate_elimination_forest(g, f, 2)
+
+
+def spider(legs, length):
+    """Legs paths of `length` vertices each, all hung from vertex 0."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges += [(v, v + 1) for v in range(first, first + length - 1)]
+    return Graph.from_edges(1 + legs * length, edges)
+
+
+def broom(handle, leaves):
+    """A path of `handle` vertices with `leaves` leaves on its last one."""
+    edges = [(v, v + 1) for v in range(handle - 1)]
+    edges += [(handle - 1, handle + j) for j in range(leaves)]
+    return Graph.from_edges(handle + leaves, edges)
+
+
+@pytest.mark.parametrize("name, g, d, levels", [
+    ("star400", complete_bipartite(1, 399), 2, 2),
+    ("k2x200", complete_bipartite(2, 200), 3, 3),
+    ("spider200x2", spider(200, 2), 3, 3),
+    ("broom4+200", broom(4, 200), 3, 3),
+])
+def test_star_like_graphs_reduce_in_few_levels(monkeypatch, name, g, d, levels):
+    # each level takes the larger of its matching and its simplicial set;
+    # contracting a small matching at every level took about n levels
+    kinds = []
+
+    def step(*args):
+        out = real_step(*args)
+        kinds.append(out.kind)
+        assert len(kinds) <= levels, kinds[:8]
+        return out
+
+    real_step = linear.bodlaender_step
+    monkeypatch.setattr(linear, "bodlaender_step", step)
+    f = solve_randomized(g, d, CFG, random.Random(1))
+    assert f is not None and validate_elimination_forest(g, f, d)
+    assert len(kinds) == levels
+
+
+def test_descent_is_not_bounded_by_the_recursion_limit(monkeypatch):
+    # contracting one pair per level gives a star on 80 vertices 79 levels,
+    # far more than the 40 frames left above this test
+    def one_pair(g, d, c_of_d):
+        return BodlaenderOutcome("matching", matching=greedy_maximal_matching(g)[:1])
+
+    monkeypatch.setattr(linear, "bodlaender_step", one_pair)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    g = complete_bipartite(1, 79)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        f = solve_randomized(g, 2, CFG, random.Random(0))
+    finally:
+        sys.setrecursionlimit(limit)
     assert f is not None and validate_elimination_forest(g, f, 2)
 
 
