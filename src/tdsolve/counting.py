@@ -94,13 +94,8 @@ def count_elim_trees(
     ValueError: it could cut off degrees the free term still needs, whereas
     n + 1 is never reached, since a degree counts reused placements.
     """
-    ring = ring or ExactRing()
-    if g.n == 0:
-        return 1
-    if d < 1:
-        return 0
     coeffs = _top_coefficients(g, t, d, ring, weights, cap, check_bounds)
-    return ring.normalize(coeffs[0]) if coeffs else 0
+    return coeffs[0] if coeffs else 0
 
 
 def eval_h(
@@ -116,25 +111,26 @@ def eval_h(
     degree cap): its free term is the sensible-tree count, and the
     coefficient of the i-th power counts mappings with exactly i placement
     collisions.  `cap` is checked as in count_elim_trees."""
-    ring = ring or ExactRing()
-    if g.n == 0:
-        return (1,)
-    if d < 1:
-        return ()
-    coeffs = _top_coefficients(g, t, d, ring, weights, cap, False)
-    return tuple(poly_trim([ring.normalize(c) for c in coeffs]))
+    return tuple(_top_coefficients(g, t, d, ring, weights, cap, False))
 
 
 def _top_coefficients(
     g: Graph,
     t: RootedForest,
     d: int,
-    ring: ExactRing,
+    ring: ExactRing | None,
     weights: list[int] | None,
     cap: int | None,
     check_bounds: bool,
 ) -> list:
+    """The top-level polynomial, normalized in the ring (exact by default)
+    and without trailing zeros."""
+    ring = ring or ExactRing()
     n = g.n
+    if n == 0:
+        return [1]
+    if d < 1:
+        return []
     if len(t.roots) != 1:
         raise ValueError("auxiliary forest must be a single tree; split per component first")
     _validate_aux_tree(g, t)
@@ -156,7 +152,7 @@ def _top_coefficients(
         raise ValueError("coefficient bounds are certified for exact unweighted runs only")
     if n == 1:
         # one vertex: its weight is the whole count, with none of the set-up
-        return [wts[0]]
+        return poly_trim([wts[0]])
 
     children: list[tuple] = [tuple(t.children(v)) for v in range(n)]
     tree_size = t.subtree_sizes()
@@ -301,7 +297,7 @@ def _top_coefficients(
     r = t.roots[0]
     total: list = []
     fresh(r, -1, min(d, tree_size[r]), 0, total)
-    return total
+    return poly_trim([ring.normalize(c) for c in total])
 
 
 def count_elim_forests(

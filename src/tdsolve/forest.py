@@ -1,9 +1,9 @@
-"""Rooted forests on dense 0-indexed vertex sets: ancestor machinery,
-elimination-forest validation (O(n + m), by preorder intervals), the
-counter's skeleton tree, and the surgeries used by both solver drivers (the
-split of a graph and its forest into components from one component
-labelling, vertex removal, root attachment, contraction expansion,
-simplicial lifting).
+"""Rooted forests on dense 0-indexed vertex sets: depths, preorder and
+subtree sizes, elimination-forest validation (O(n + m), by preorder
+intervals), the counter's skeleton tree, and the surgeries used by both
+solver drivers (the split of a graph and its forest into components from
+one component labelling, vertex removal, root attachment, contraction
+expansion, simplicial lifting).
 
 A parent of -1 marks a root, in the arrays forests are built from and in
 what `RootedForest.parent` and `PrefixTree.add_child` take and return.
@@ -55,9 +55,6 @@ class RootedForest:
         """The parent of v, or -1 for a root."""
         return self._parent[v]
 
-    def parent_array(self) -> list[int]:
-        return list(self._parent)
-
     def children(self, v: int) -> list[int]:
         return self._children[v]
 
@@ -72,28 +69,6 @@ class RootedForest:
         """Vertices in depth-first preorder: every subtree is a contiguous run
         that starts at its root."""
         return self._order
-
-    def is_ancestor(self, u: int, v: int) -> bool:
-        """True when u is an ancestor of v (every vertex is its own ancestor)."""
-        du = self._depth[u]
-        while self._depth[v] > du:
-            v = self._parent[v]
-        return u == v
-
-    def ancestor_related(self, u: int, v: int) -> bool:
-        """Symmetric comparability: one of u, v is an ancestor of the other."""
-        if self._depth[u] > self._depth[v]:
-            u, v = v, u
-        return self.is_ancestor(u, v)
-
-    def tail(self, v: int) -> set:
-        """Ancestors of v, including v."""
-        out = set()
-        u = v
-        while u >= 0:
-            out.add(u)
-            u = self._parent[u]
-        return out
 
     def subtree_sizes(self) -> list[int]:
         """Number of descendants of each vertex, itself included; a reversed
@@ -133,9 +108,6 @@ class PrefixTree:
         self.desc: list[int] = []  # bitmask of descendants including self
         self.full = 0
         self.limit = limit
-
-    def __len__(self):
-        return len(self.parent)
 
     def add_child(self, w: int) -> int:
         """Append a vertex below w (a new root when w is -1); returns its index."""

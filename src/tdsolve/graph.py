@@ -383,21 +383,30 @@ class BodlaenderOutcome(NamedTuple):
     improved: Graph | None = None  # the improved graph, on a simplicial outcome
 
 
-def bodlaender_step(g: Graph, d: int, c_of_d) -> BodlaenderOutcome:
+BOD_FACTOR = 72
+
+
+def bod_fraction(d: int) -> int:
+    """Bodlaender's fraction constant c(d) = BOD_FACTOR * (d+1)^6: a
+    reduction step takes at least n / c(d) pairs or vertices."""
+    return BOD_FACTOR * (d + 1) ** 6
+
+
+def bodlaender_step(g: Graph, d: int) -> BodlaenderOutcome:
     """One reduction step: the larger of a maximal matching and a set of
     improved-simplicial vertices, or the verdict that the budget is hopeless.
 
     The candidates are the greedy matching of g and the improved-simplicial
     vertices that it leaves unmatched and that have degree at most d in g.
-    `c_of_d` maps d to the fraction constant, and a reduction is large
-    enough when it has at least n / c_of_d(d) pairs or vertices.  The
-    matching is contracted when it is large enough and has at least as many
-    pairs as the set has vertices; otherwise the set is lifted when it is
-    large enough, and otherwise the step is too_deep.  Either reduction is
-    sound by Bodlaender's lemma; taking the larger one keeps star-like
-    graphs, whose matchings have one pair, from needing n levels.  The
-    large-clique shortcut in the improved graph is checked first, so
-    complete graphs on d+2 vertices are rejected outright.
+    A reduction is large enough when it has at least n / bod_fraction(d)
+    pairs or vertices.  The matching is contracted when it is large enough
+    and has at least as many pairs as the set has vertices; otherwise the
+    set is lifted when it is large enough, and otherwise the step is
+    too_deep.  Either reduction is sound by Bodlaender's lemma; taking the
+    larger one keeps star-like graphs, whose matchings have one pair, from
+    needing n levels.  The large-clique shortcut in the improved graph is
+    checked first, so complete graphs on d+2 vertices are rejected
+    outright.
     """
     n = g.n
     g_imp = improved_graph(g, d)
@@ -405,7 +414,7 @@ def bodlaender_step(g: Graph, d: int, c_of_d) -> BodlaenderOutcome:
     for v in simp:
         if g_imp.degree(v) + 1 >= d + 2:
             return BodlaenderOutcome("too_deep")
-    threshold = n / c_of_d(d)
+    threshold = n / bod_fraction(d)
     matching = greedy_maximal_matching(g)
     matched = {v for pair in matching for v in pair}
     cand = tuple(v for v in simp if v not in matched and g.degree(v) <= d)

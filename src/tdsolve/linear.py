@@ -1,9 +1,10 @@
 """Randomized driver: a reduction descent (matching contraction or
-simplicial lifting per level, run as a loop), modular counting with a single
-globally sampled prime, and color-coding root recovery.
+simplicial lifting per level, run as a loop), counting modulo a single
+globally sampled prime (exact below log2 n vertices), and color-coding root
+recovery.
 
 Infeasible verdicts (None) are sound when they come from the edge-count
-filter, a clique detection, or the small-modulus exact case; a verdict that
+filter, a clique detection, or the exact small case; a verdict that
 went through the large-prime ring can be a false negative with small
 probability.  Returned forests are always validated, so false positives are
 impossible.
@@ -33,35 +34,32 @@ from .graph import (
     recorded_lower_bound,
     structurally_infeasible,
 )
-from .polyring import ModularRing, mod_inverse, sample_prime
+from .polyring import ExactRing, ModularRing, mod_inverse, sample_prime
+
+
+# Color coding draws up to MAX_COLORING_RETRIES colorings per color count;
+# when they all fail, the count doubles (capped at n), up to
+# MAX_COLOR_DOUBLINGS times.
+MAX_COLORING_RETRIES = 24
+MAX_COLOR_DOUBLINGS = 8
+
+
+def color_count(n: int, d: int) -> int:
+    """The number of colors a coloring round starts with: min(n, (d+1)^(2(d+1)))."""
+    return max(1, min(n, (d + 1) ** (2 * (d + 1))))
 
 
 class LinearConfig(NamedTuple):
-    """Tunables whose exact values the analysis leaves open.
+    """The prime policy, the one tunable the analysis leaves open.
 
     error_exponent scales the sampled prime (error probability falls
-    exponentially in it); bod_factor fixes the reduction-step fraction
-    c(d) = bod_factor * (d+1)^6; color_override pins the number of colors
-    (default: min(n, (d+1)^(2(d+1)))).  When a full round of colorings fails,
-    the color count doubles (capped at n) and the search restarts, up to
-    max_color_doublings times.
+    exponentially in it); prime_lower_threshold is the least interval bound
+    and word_cap the greatest.
     """
 
     error_exponent: int = 1
     prime_lower_threshold: int = 21
-    bod_factor: int = 72
-    color_override: int | None = None
-    max_coloring_retries: int = 24
-    max_color_doublings: int = 8
     word_cap: int = 1 << 62
-
-    def bod_fraction(self, d: int) -> int:
-        return self.bod_factor * (d + 1) ** 6
-
-    def color_count(self, n: int, d: int) -> int:
-        if self.color_override is not None:
-            return max(1, min(self.color_override, n))
-        return max(1, min(n, (d + 1) ** (2 * (d + 1))))
 
     def prime_bound(self, n: int, d: int) -> int:
         """Lower end A of the interval (A, 2A) for the random prime:
@@ -73,46 +71,34 @@ class LinearConfig(NamedTuple):
 
 class RunContext:
     """Per-run state: the original vertex count, the one sampled prime, the
-    configured randomness, and two counters for experiments."""
+    randomness, and two counters for experiments."""
 
-    def __init__(
-        self,
-        n_top: int,
-        prime: int,
-        cfg: LinearConfig,
-        rng: random.Random,
-        colorings_tried: int = 0,
-        roots_found: int = 0,
-    ):
+    def __init__(self, n_top: int, prime: int, rng: random.Random):
         self.n_top = n_top
         self.prime = prime
-        self.cfg = cfg
         self.rng = rng
-        self.colorings_tried = colorings_tried
-        self.roots_found = roots_found
+        self.colorings_tried = 0
+        self.roots_found = 0
 
 
 def new_run_context(n: int, d: int, cfg: LinearConfig, rng: random.Random) -> RunContext:
-    bound = cfg.prime_bound(max(n, 1), d)
-    prime = sample_prime(bound, rng)
-    return RunContext(n_top=max(n, 1), prime=prime, cfg=cfg, rng=rng)
+    prime = sample_prime(cfg.prime_bound(max(n, 1), d), rng)
+    return RunContext(max(n, 1), prime, rng)
 
 
-def choose_modulus(r: int, n: int, d: int, sampled_prime: int, k: int) -> ModularRing:
-    """Modulus policy: large subproblems (r >= log2 n) hash with the global
-    prime; small ones use m = r*(d*k*2^d)^r + 1, which exceeds every possible
-    true result, so the small case is exact and division is plain integer
-    division."""
+def choose_modulus(r: int, n: int, sampled_prime: int) -> ExactRing:
+    """Ring policy: large subproblems (r >= log2 n) hash with the global
+    prime; small ones count in exact integers, so their verdicts are certain
+    and division is plain integer division."""
     if r < 1:
         raise ValueError("subproblem must be nonempty")
     if (1 << r) >= n:
         return ModularRing(sampled_prime, prime=True)
-    m = r * (d * k * (1 << d)) ** r + 1
-    return ModularRing(m, prime=False)
+    return ExactRing()
 
 
-def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ModularRing) -> int | None:
-    """The smallest budget below d with a nonzero (modular) tree count, else
+def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ExactRing) -> int | None:
+    """The smallest budget below d with a tree count nonzero in ring, else
     d, or None when the structural lower bound exceeds d.  Budget d itself is
     not counted: the color-coding finder counts the whole graph there only
     when a color class needs it.
@@ -128,12 +114,7 @@ def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ModularRing) 
     return d
 
 
-def _ring_for(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> ModularRing:
-    k = max(2 * d, t.max_depth, 1)
-    return choose_modulus(g.n, ctx.n_top, d, ctx.prime, k)
-
-
-def _recover_index(num: int, den: int, ring: ModularRing) -> int | None:
+def _recover_index(num: int, den: int, ring: ExactRing) -> int | None:
     """The weighted/unweighted count ratio as a 1-based index, or None when
     the division fails (zero or non-integral denominator)."""
     if den == 0:
@@ -165,13 +146,12 @@ def find_root_colorcoding(
     n = g.n
     if n == 1:
         return 0
-    cfg = ctx.cfg
     rng = ctx.rng
-    ring = _ring_for(g, t, d, ctx)
-    colors = cfg.color_count(n, d)
+    ring = choose_modulus(n, ctx.n_top, ctx.prime)
+    colors = color_count(n, d)
     doublings = 0
     while True:
-        for _ in range(cfg.max_coloring_retries):
+        for _ in range(MAX_COLORING_RETRIES):
             ctx.colorings_tried += 1
             coloring = [rng.randrange(colors) for _ in range(n)]
             classes: dict[int, list[int]] = {}
@@ -187,7 +167,7 @@ def find_root_colorcoding(
                 if root is not None:
                     ctx.roots_found += 1
                     return root
-        if colors >= n or doublings >= cfg.max_color_doublings:
+        if colors >= n or doublings >= MAX_COLOR_DOUBLINGS:
             return None
         colors = min(2 * colors, n)
         doublings += 1
@@ -200,7 +180,7 @@ def _try_color(
     coloring: list[int],
     c: int,
     members: list[int],
-    ring: ModularRing,
+    ring: ExactRing,
     ctx: RunContext,
 ) -> int | None:
     n = g.n
@@ -226,9 +206,9 @@ def _try_color(
             return None
     gv = minus_vertex(g, v)
     tv = remove_vertex(t, v)
-    ver_ring = _ring_for(gv, tv, max(d - 1, 1), ctx)
+    ver_ring = choose_modulus(gv.n, ctx.n_top, ctx.prime)
     if ver_ring.is_zero(count_elim_forests(gv, tv, d - 1, ver_ring)):
-        return None  # failed certification: wrong candidate or unlucky modulus
+        return None  # failed certification: wrong candidate or unlucky prime
     return v
 
 
@@ -240,7 +220,7 @@ def colorcoding_root_finder(ctx: RunContext):
     a class of two or more."""
 
     def find_root(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
-        dstar = determine_exact_depth(g, t, d, _ring_for(g, t, d, ctx))
+        dstar = determine_exact_depth(g, t, d, choose_modulus(g.n, ctx.n_top, ctx.prime))
         if dstar is None:
             return None
         root = find_root_colorcoding(g, t, dstar, ctx, _unverified=dstar == d)
@@ -285,8 +265,6 @@ def solve_randomized(
     construction over the shallower of the expanded (or lifted) auxiliary
     forest and the centroid forest.  Never returns an invalid forest; None
     may be a false negative (probability bounded by the modulus analysis)."""
-    cfg = cfg or LinearConfig()
-    rng = rng or random.Random(0)
     if g.n == 0:
         return RootedForest([])
     if d < 1:
@@ -295,7 +273,7 @@ def solve_randomized(
     # one-time prime draw
     if structurally_infeasible(g, d):
         return None
-    ctx = new_run_context(g.n, d, cfg, rng)
+    ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))
     f = _solve(g, d, ctx)
     if f is not None and not validate_elimination_forest(g, f, d):
         raise AssertionError("solver produced an invalid forest; this is a bug")
@@ -314,7 +292,7 @@ def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
     interpreter's stack."""
     levels = []  # (graph, step, contraction map or kept vertices)
     while g.n > 1:
-        step = bodlaender_step(g, d, ctx.cfg.bod_fraction)
+        step = bodlaender_step(g, d)
         if step.kind == "too_deep":
             return None
         if step.kind == "matching":

@@ -1,7 +1,7 @@
 """Test-only ground truth: brute-force treedepth, the sensibility test with
-its forest helpers, exhaustive enumeration of sensible bounded-depth
-elimination trees, instance generators, and a small isomorphism-free catalog
-of connected graphs.
+its forest helpers (parent arrays, ancestry, tails), exhaustive enumeration
+of sensible bounded-depth elimination trees, instance generators, and a
+small isomorphism-free catalog of connected graphs.
 
 The brute-force routines deliberately trade space for simplicity (subset
 memoization); they are capped at sizes where that is harmless.
@@ -124,7 +124,7 @@ def all_elimination_trees(g: Graph, d: int):
     for _ in range(total):
         if assignment_ok(parent):
             f = RootedForest(parent)
-            if all(f.ancestor_related(u, v) for u, v in edges):
+            if all(ancestor_related(f, u, v) for u, v in edges):
                 yield f
         # advance odometer
         for v in range(n - 1, -1, -1):
@@ -134,6 +134,35 @@ def all_elimination_trees(g: Graph, d: int):
                 break
             idx[v] = 0
             parent[v] = choices[v][0]
+
+
+def parent_array(f: RootedForest) -> list[int]:
+    """The parent of every vertex of f, -1 for a root."""
+    return [f.parent(v) for v in range(f.n)]
+
+
+def is_ancestor(f: RootedForest, u: int, v: int) -> bool:
+    """True when u is an ancestor of v in f (every vertex is its own ancestor)."""
+    du = f.depth_of(u)
+    while f.depth_of(v) > du:
+        v = f.parent(v)
+    return u == v
+
+
+def ancestor_related(f: RootedForest, u: int, v: int) -> bool:
+    """Symmetric comparability: one of u, v is an ancestor of the other."""
+    if f.depth_of(u) > f.depth_of(v):
+        u, v = v, u
+    return is_ancestor(f, u, v)
+
+
+def tail(f: RootedForest, v: int) -> set:
+    """Ancestors of v in f, v included."""
+    out = set()
+    while v >= 0:
+        out.add(v)
+        v = f.parent(v)
+    return out
 
 
 def descendants(f: RootedForest, v: int) -> set:
@@ -149,7 +178,7 @@ def descendants(f: RootedForest, v: int) -> set:
 
 def comparable(f: RootedForest, v: int) -> set:
     """Vertices comparable with v in f: its ancestors and descendants."""
-    return f.tail(v) | descendants(f, v)
+    return tail(f, v) | descendants(f, v)
 
 
 def closure(f: RootedForest, vs) -> set:
@@ -171,7 +200,7 @@ def check_sensible(g: Graph, t: RootedForest, r: RootedForest) -> bool:
         kids = t.children(u)
         if len(kids) < 2:
             continue
-        base = closure(r, t.tail(u))
+        base = closure(r, tail(t, u))
         closures = [closure(r, comparable(t, v)) for v in kids]
         for i in range(len(kids)):
             for j in range(i + 1, len(kids)):

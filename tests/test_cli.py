@@ -17,7 +17,7 @@ from tdsolve.cli import (
     parse_pace_graph,
 )
 from tdsolve.forest import RootedForest, validate_elimination_forest
-from tdsolve.oracle import connected_graphs_up_to, empty_graph, random_graph
+from tdsolve.oracle import connected_graphs_up_to, empty_graph, parent_array, random_graph
 
 
 P3 = "p tdp 3 2\n1 2\n2 3\n"
@@ -61,7 +61,7 @@ def outcome(parse, *args):
         return "error", str(exc)
     if isinstance(got, tuple):
         claimed, f = got
-        return claimed, f.parent_array()
+        return claimed, parent_array(f)
     return got.n, got.m, got.adj
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdsolve import oracle
 from tdsolve.forest import (
     PrefixTree,
     RootedForest,
@@ -25,6 +26,7 @@ from tdsolve.graph import (
 )
 from tdsolve.oracle import (
     all_elimination_trees,
+    ancestor_related,
     brute_td,
     check_sensible,
     clique,
@@ -34,9 +36,12 @@ from tdsolve.oracle import (
     cycle,
     descendants,
     empty_graph,
+    is_ancestor,
+    parent_array,
     path,
     random_graph,
     random_tree,
+    tail,
 )
 
 
@@ -57,23 +62,23 @@ def test_cycle_detection():
 
 def test_tail_tree_comp_on_chain():
     f = chain(3)
-    assert f.tail(2) == {0, 1, 2}
+    assert tail(f, 2) == {0, 1, 2}
     assert descendants(f, 0) == {0, 1, 2}
     assert comparable(f, 1) == {0, 1, 2}
-    assert f.tail(1) - {1} == {0}
+    assert tail(f, 1) - {1} == {0}
 
 
 def test_every_vertex_its_own_ancestor():
     f = RootedForest([-1, 0, 0, -1])
     for v in range(4):
-        assert f.is_ancestor(v, v)
-        assert f.ancestor_related(v, v)
+        assert is_ancestor(f, v, v)
+        assert ancestor_related(f, v, v)
 
 
 def test_two_roots_unrelated():
     f = RootedForest([-1, -1])
     assert closure(f, {0, 1}) == {0, 1}
-    assert not f.ancestor_related(0, 1)
+    assert not ancestor_related(f, 0, 1)
 
 
 def test_validate_elimination_forest():
@@ -101,7 +106,7 @@ def walk_validate(g, f, d):
     return (
         f.n == g.n
         and (g.n == 0 or f.max_depth <= d)
-        and all(f.ancestor_related(u, v) for u, v in g.edges())
+        and all(ancestor_related(f, u, v) for u, v in g.edges())
     )
 
 
@@ -126,7 +131,7 @@ def test_validation_agrees_with_the_parent_walk():
         f = RootedForest(random_parent_array(n, rng))
         if seed % 2:
             # edges from pairs f relates, and sometimes one pair it does not
-            tails = [f.tail(v) for v in range(n)]
+            tails = [tail(f, v) for v in range(n)]
             pairs = [(u, v) for v in range(n) for u in tails[v] if u != v]
             edges = rng.sample(pairs, rng.randint(0, len(pairs)))
             apart = [
@@ -140,7 +145,7 @@ def test_validation_agrees_with_the_parent_walk():
         forests = [f, chain(n), dfs_elimination_forest(g), chain(n + 1)]
         for h in forests:
             if h.n == g.n:
-                walk_edge = next((e for e in g.edges() if not h.ancestor_related(*e)), None)
+                walk_edge = next((e for e in g.edges() if not ancestor_related(h, *e)), None)
                 assert unbound_edge(g, h) == walk_edge
                 seen["unbound"] += walk_edge is not None
                 seen["roots"] += len(h.roots) > 1 and walk_edge is None
@@ -161,11 +166,12 @@ def test_validation_and_counting_never_walk_parents(monkeypatch):
     t = dfs_elimination_forest(g)
     expected = brute_count_sensible(g, t, 4)
 
-    def refuse(self, u, v):
+    def refuse(*args):
         raise AssertionError("parent walk")
 
-    monkeypatch.setattr(RootedForest, "ancestor_related", refuse)
-    monkeypatch.setattr(RootedForest, "is_ancestor", refuse)
+    monkeypatch.setattr(RootedForest, "parent", refuse)
+    for name in ("is_ancestor", "ancestor_related", "tail"):
+        monkeypatch.setattr(oracle, name, refuse)
     star = complete_bipartite(1, 3999)
     assert validate_elimination_forest(star, chain(4000), 4000)
     assert not validate_elimination_forest(path(3), RootedForest([-1, 0, 0]), 3)
@@ -186,13 +192,13 @@ def test_counter_names_the_first_unbound_edge():
 
 def test_restrict_splits_isolated_vertices():
     parts = split_components(empty_graph(2), chain(2))
-    assert [(verts, subt.parent_array()) for verts, _, subt in parts] == [([0], [-1]), ([1], [-1])]
+    assert [(verts, parent_array(subt)) for verts, _, subt in parts] == [([0], [-1]), ([1], [-1])]
 
 
 def test_restrict_two_edges_chain():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     parts = split_components(g, chain(4))
-    assert [(verts, subt.parent_array()) for verts, _, subt in parts] == [([0, 1], [-1, 0]), ([2, 3], [-1, 0])]
+    assert [(verts, parent_array(subt)) for verts, _, subt in parts] == [([0, 1], [-1, 0]), ([2, 3], [-1, 0])]
 
 
 @given(st.integers(0, 300))
@@ -210,24 +216,24 @@ def test_restrict_never_deepens(seed):
 
 
 def test_remove_middle_of_chain():
-    assert remove_vertex(chain(3), 1).parent_array() == [-1, 0]
+    assert parent_array(remove_vertex(chain(3), 1)) == [-1, 0]
 
 
 def test_remove_root_of_chain():
-    assert remove_vertex(chain(2), 0).parent_array() == [-1]
+    assert parent_array(remove_vertex(chain(2), 0)) == [-1]
 
 
 def test_remove_star_center_makes_roots():
     star = RootedForest([-1, 0, 0])
-    assert remove_vertex(star, 0).parent_array() == [-1, -1]
+    assert parent_array(remove_vertex(star, 0)) == [-1, -1]
 
 
 def test_attach_root_cases():
     empty = RootedForest([])
-    assert attach_root(empty, 0).parent_array() == [-1]
+    assert parent_array(attach_root(empty, 0)) == [-1]
     two_roots = RootedForest([-1, -1])
     f = attach_root(two_roots, 0)
-    assert f.parent_array() == [-1, 0, 0] and f.max_depth == 2
+    assert parent_array(f) == [-1, 0, 0] and f.max_depth == 2
     deep = chain(3)
     assert attach_root(deep, 3).max_depth == 4
 
@@ -261,14 +267,14 @@ def test_remove_vertex_keeps_elimination_property():
 def test_expand_contracted_k2():
     f = RootedForest([-1])
     out = expand_contracted_forest(f, [(0, 1)], 2)
-    assert out.parent_array() == [-1, 0] and out.max_depth == 2
+    assert parent_array(out) == [-1, 0] and out.max_depth == 2
 
 
 def test_expand_keeps_unmatched_order():
     # path 0-1-2-3 with (1,2) contracted to x: forest 0 -> x -> 3
     f = RootedForest([-1, 0, 1])
     out = expand_contracted_forest(f, [(0,), (1, 2), (3,)], 4)
-    assert out.parent_array() == [-1, 0, 1, 2]
+    assert parent_array(out) == [-1, 0, 1, 2]
 
 
 def test_expand_c4_doubles_depth_and_validates():
@@ -284,14 +290,14 @@ def test_expand_c4_doubles_depth_and_validates():
 def test_lift_isolated_vertex_becomes_root():
     g = empty_graph(1)
     out = lift_simplicial(RootedForest([]), [], g, [0], 2)
-    assert out.parent_array() == [-1]
+    assert parent_array(out) == [-1]
 
 
 def test_lift_leaf_attaches_below_neighbor():
     g = path(2)
     base = RootedForest([-1])  # vertex 0 kept
     out = lift_simplicial(base, [0], g, [1], 2)
-    assert out.parent_array() == [-1, 0]
+    assert parent_array(out) == [-1, 0]
     assert out.depth_of(1) == 2
 
 
@@ -362,10 +368,10 @@ def test_split_components_matches_restriction_on_disconnected_graphs():
                 # reference: the deepest proper t-ancestor inside the component
                 expected = []
                 for v in verts:
-                    above = [u for u in verts if u != v and t.is_ancestor(u, v)]
+                    above = [u for u in verts if u != v and is_ancestor(t, u, v)]
                     top = max(above, key=t.depth_of, default=None)
                     expected.append(-1 if top is None else verts.index(top))
-                assert subt.parent_array() == expected
+                assert parent_array(subt) == expected
                 assert validate_elimination_forest(sub, subt, t.max_depth)
     assert split > 50
 
@@ -422,7 +428,7 @@ def test_prefix_tree_chain_extension_and_rollback():
     side = k.add_child(root)
     assert not (k.anc[side] >> a & 1 or k.anc[a] >> side & 1)
     k.truncate(3)
-    assert len(k) == 3 and k.parent == [-1, 0, 1]
+    assert k.parent == [-1, 0, 1]
 
 
 def test_prefix_tree_masks_follow_chain_pushes_and_truncation():
@@ -435,23 +441,23 @@ def test_prefix_tree_masks_follow_chain_pushes_and_truncation():
         k = PrefixTree(limit=limit)
         bases = []
         for _ in range(40):
-            roomy = [w for w in range(len(k)) if k.depth[w] < limit]
-            if bases and (rng.random() < 0.4 or (len(k) and not roomy)):
+            roomy = [w for w in range(len(k.parent)) if k.depth[w] < limit]
+            if bases and (rng.random() < 0.4 or (len(k.parent) and not roomy)):
                 k.truncate(bases.pop())
             else:
-                bases.append(len(k))
-                w = rng.choice(roomy) if len(k) else -1
+                bases.append(len(k.parent))
+                w = rng.choice(roomy) if len(k.parent) else -1
                 room = limit - (k.depth[w] if w >= 0 else 0)
                 for _ in range(rng.randint(1, room)):
                     w = k.add_child(w)
-            desc = [0] * len(k)
-            for v in range(len(k)):
+            desc = [0] * len(k.parent)
+            for v in range(len(k.parent)):
                 u = v
                 while u >= 0:
                     desc[u] |= 1 << v
                     u = k.parent[u]
             assert k.desc == desc
-            assert k.full == sum(1 << v for v in range(len(k)) if k.depth[v] >= limit)
+            assert k.full == sum(1 << v for v in range(len(k.parent)) if k.depth[v] >= limit)
 
 
 def test_sensible_tree_exists_at_optimal_depth_small():

@@ -9,6 +9,7 @@ from tdsolve.graph import (
     Graph,
     _dfs,
     _simplicial_in,
+    bod_fraction,
     bodlaender_step,
     centroid_forest,
     connected_components,
@@ -22,7 +23,6 @@ from tdsolve.graph import (
     treedepth_lower_bound,
 )
 from tdsolve.forest import validate_elimination_forest
-from tdsolve.linear import LinearConfig
 from tdsolve.oracle import (
     brute_td,
     clique,
@@ -31,6 +31,7 @@ from tdsolve.oracle import (
     cycle,
     disjoint_union,
     empty_graph,
+    parent_array,
     path,
     random_graph,
     random_tree,
@@ -101,7 +102,7 @@ def test_dfs_depth_is_dfs_forest_depth():
     for g in graphs:
         parent, deepest = _dfs(g)
         f = dfs_elimination_forest(g)
-        assert f.parent_array() == parent and f.max_depth == deepest
+        assert parent_array(f) == parent and f.max_depth == deepest
 
 
 def reference_dfs(g):
@@ -162,7 +163,7 @@ def test_dfs_forest_single_vertex():
 
 def test_dfs_forest_path_chain():
     f = dfs_elimination_forest(path(3))
-    assert f.parent_array() == [-1, 0, 1]
+    assert parent_array(f) == [-1, 0, 1]
     assert f.max_depth == 3  # td(P3) = 2, within the 2^td guarantee
 
 
@@ -212,7 +213,7 @@ def test_centroid_forest_on_trees_is_logarithmic():
 
 
 def test_centroid_forest_roots_path_in_the_middle():
-    assert centroid_forest(path(7)).parent_array() == [1, 3, 1, -1, 5, 3, 5]
+    assert parent_array(centroid_forest(path(7))) == [1, 3, 1, -1, 5, 3, 5]
     assert centroid_forest(path(4)).roots == [1]  # tie between 1 and 2 goes to the smaller index
 
 
@@ -249,9 +250,9 @@ def test_simplicial_vertices_path_endpoints():
 
 
 def test_bodlaender_step_flags_overfull_neighborhoods():
-    assert bodlaender_step(clique(4), 2, _cfg_fraction).kind == "too_deep"
-    assert bodlaender_step(clique(4), 3, _cfg_fraction).kind != "too_deep"
-    assert bodlaender_step(path(10), 2, _cfg_fraction).kind != "too_deep"
+    assert bodlaender_step(clique(4), 2).kind == "too_deep"
+    assert bodlaender_step(clique(4), 3).kind != "too_deep"
+    assert bodlaender_step(path(10), 2).kind != "too_deep"
 
 
 def test_greedy_matching_deterministic_scan():
@@ -336,25 +337,21 @@ def test_contraction_matches_the_edge_set_reference(seed):
         assert (gm.n, gm.adj, gm.m, cmap) == (ref.n, ref.adj, ref.m, ref_cmap)
 
 
-def _cfg_fraction(d):
-    return LinearConfig().bod_fraction(d)
-
-
 def test_bodlaender_step_clique_too_deep():
     for d in (2, 3):
-        out = bodlaender_step(clique(d + 2), d, _cfg_fraction)
+        out = bodlaender_step(clique(d + 2), d)
         assert out.kind == "too_deep"
 
 
 def test_bodlaender_step_edgeless_simplicial():
-    out = bodlaender_step(empty_graph(100), 2, _cfg_fraction)
+    out = bodlaender_step(empty_graph(100), 2)
     assert out.kind == "simplicial" and len(out.vertices) == 100
 
 
 def test_bodlaender_step_path_matching():
-    out = bodlaender_step(path(100), 3, _cfg_fraction)
+    out = bodlaender_step(path(100), 3)
     assert out.kind == "matching"
-    assert len(out.matching) >= 100 / _cfg_fraction(3)
+    assert len(out.matching) >= 100 / bod_fraction(3)
     assert len(out.matching) == 50
 
 
@@ -364,7 +361,7 @@ def test_bodlaender_step_never_rejects_feasible(seed, d):
     n = 3 + seed % 5
     g = random_graph(n, min(d * n, n * (n - 1) // 2), seed)
     if brute_td(g) <= d:
-        assert bodlaender_step(g, d, _cfg_fraction).kind != "too_deep"
+        assert bodlaender_step(g, d).kind != "too_deep"
 
 
 @given(st.integers(0, 10**6))

@@ -17,6 +17,7 @@ from tdsolve.graph import (
 from tdsolve.linear import (
     LinearConfig,
     choose_modulus,
+    color_count,
     construct_linear,
     determine_exact_depth,
     find_root_colorcoding,
@@ -46,29 +47,36 @@ def ctx_for(g, d, seed=0):
 
 
 def test_choose_modulus_prime_case():
-    ring = choose_modulus(8, 16, 3, sampled_prime=10007, k=6)
+    ring = choose_modulus(8, 16, sampled_prime=10007)
     assert ring.modulus == 10007 and ring.prime
 
 
-def test_choose_modulus_small_case_formula():
-    # r=3, n=256, d=2, k=4: m = 3 * (2*4*4)^3 + 1
-    ring = choose_modulus(3, 256, 2, sampled_prime=10007, k=4)
-    assert ring.modulus == 3 * 32**3 + 1 == 98305
-    assert not ring.prime
+def test_choose_modulus_ring_policy():
+    # exact integers below 2^r >= n, the sampled prime from there on
+    for n, r_prime in [(2, 1), (3, 2), (256, 8), (257, 9), (10**6, 20)]:
+        for r in range(1, r_prime):
+            ring = choose_modulus(r, n, sampled_prime=10007)
+            assert ring.modulus is None and not ring.prime
+        for r in (r_prime, r_prime + 1):
+            ring = choose_modulus(r, n, sampled_prime=10007)
+            assert ring.modulus == 10007 and ring.prime
+    with pytest.raises(ValueError):
+        choose_modulus(0, 5, sampled_prime=10007)
 
 
 def test_choose_modulus_small_case_is_exact():
-    # true result fits below m, so the modular answer is the true answer
-    g = path(2)
-    t = RootedForest([-1, 0])
-    ring = choose_modulus(2, 10**9, 2, sampled_prime=10007, k=4)
-    assert count_elim_trees(g, t, 2, ring) == 2
+    # a small subproblem's count is the true count, even above the prime:
+    # K4 has 4! elimination trees of depth 4, all paths
+    g = clique(4)
+    t = RootedForest([-1, 0, 1, 2])
+    ring = choose_modulus(4, 10**9, sampled_prime=13)
+    assert count_elim_trees(g, t, 4, ring) == 24
 
 
 def test_choose_modulus_single_vertex_prime_case():
     # r >= log2(n) compares shifted: 1 << r >= n
-    assert choose_modulus(1, 2, 3, sampled_prime=13, k=6).modulus == 13
-    assert choose_modulus(1, 3, 3, sampled_prime=13, k=6).modulus != 13
+    assert choose_modulus(1, 2, sampled_prime=13).modulus == 13
+    assert choose_modulus(1, 3, sampled_prime=13).modulus is None
 
 
 def test_determine_exact_depth_examples():
@@ -274,7 +282,7 @@ def test_star_like_graphs_reduce_in_few_levels(monkeypatch, name, g, d, levels):
 def test_descent_is_not_bounded_by_the_recursion_limit(monkeypatch):
     # contracting one pair per level gives a star on 80 vertices 79 levels,
     # far more than the 40 frames left above this test
-    def one_pair(g, d, c_of_d):
+    def one_pair(g, d):
         return BodlaenderOutcome("matching", matching=greedy_maximal_matching(g)[:1])
 
     monkeypatch.setattr(linear, "bodlaender_step", one_pair)
@@ -358,15 +366,17 @@ def test_same_seed_same_forest():
     assert a == b
 
 
-def test_color_doubling_recovers_from_tiny_override():
-    cfg = LinearConfig(color_override=1, max_coloring_retries=4)
+def test_color_doubling_recovers_from_tiny_override(monkeypatch):
+    # one color and four colorings per count: only doubling the count finds
+    # the roots of the level graphs with several
+    monkeypatch.setattr(linear, "color_count", lambda n, d: 1)
+    monkeypatch.setattr(linear, "MAX_COLORING_RETRIES", 4)
     g = path(7)
-    f = solve_randomized(g, 3, cfg, random.Random(2))
+    f = solve_randomized(g, 3, CFG, random.Random(2))
     assert f is not None and validate_elimination_forest(g, f, 3)
 
 
 def test_config_color_count_defaults():
-    cfg = LinearConfig()
-    assert cfg.color_count(100, 1) == 16
-    assert cfg.color_count(5, 4) == 5
-    assert LinearConfig(color_override=7).color_count(100, 3) == 7
+    assert color_count(100, 1) == 16
+    assert color_count(5, 4) == 5
+    assert color_count(1, 3) == 1
