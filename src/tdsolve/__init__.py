@@ -2,9 +2,11 @@
 
 Given a graph and a depth budget d, either construct an elimination forest
 of depth at most d or report that the treedepth exceeds d — deterministically
-via counting plus iterative compression, or with a randomized linear-time
-pipeline (matching contraction, modular counting, color-coding root
-recovery).
+via an exact counting root scan guided by the centroid forest (iterative
+compression is the fallback when that forest is too deep), or with a
+randomized linear-time pipeline (matching contraction, modular counting,
+color-coding root recovery).  Both split a disconnected graph into its
+components inside the shared construction driver.
 """
 
 from .construct import construct_elim_forest, solve_deterministic

@@ -58,7 +58,7 @@ def _parse_regular_graph(text: str) -> Graph | None:
     # a loop or a repeated edge repeats an entry of some sorted list
     if sum(map(len, map(set, adj))) != 2 * m:
         return None
-    return Graph(n, adj, m)
+    return Graph(adj)
 
 
 def _parse_pace_lines(text: str) -> Graph:
@@ -142,18 +142,20 @@ def _read_input(path: str) -> str:
 
 
 def _solve(g: Graph, d: int, mode: str, seed: int):
-    """The deterministic solver splits g into components itself.  A
-    randomized run solves each connected component on its own, stopping at
-    the first infeasible one; component i gets the seed seed + 10007 * i."""
-    if mode == "deterministic":
-        return solve_deterministic(g, d)
+    """Solve each connected component of g on its own, in either mode,
+    stopping at the first infeasible one, and merge their forests.  Each
+    solver then filters and guides a whole component.  In randomized mode
+    component i gets the seed seed + 10007 * i."""
     parts = []
     for i, (verts, sub) in enumerate(connected_components(g)):
-        f = solve_randomized(sub, d, rng=random.Random(seed + 10007 * i))
+        if mode == "deterministic":
+            f = solve_deterministic(sub, d)
+        else:
+            f = solve_randomized(sub, d, rng=random.Random(seed + 10007 * i))
         if f is None:
             return None
         parts.append((verts, f))
-    return merge_forests(g.n, parts)
+    return merge_forests(parts)
 
 
 @functools.cache
@@ -181,6 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.max_depth is not None and args.max_depth < 0:
+        print("error: --max-depth must not be negative", file=sys.stderr)
+        return 2
     try:
         g = parse_pace_graph(_read_input(args.input))
     except (OSError, ValueError) as exc:
@@ -235,7 +240,8 @@ def main(argv=None) -> int:
             return 0
         if not args.optimize:
             print(f"td > {d}")
-            if args.mode == "randomized":
+            # no randomness decides budget 0: a nonempty graph never fits it
+            if args.mode == "randomized" and d > 0:
                 print("note: randomized verdict; a false negative is possible "
                       "(rerun with another seed or --mode deterministic to certify)",
                       file=sys.stderr)

@@ -1,13 +1,13 @@
 """Construction driver shared by both solvers, and the deterministic solver:
 an exact root scan on top of the counting engine, guided by the centroid
 forest when its depth is at most d+1 (the depth iterative compression counts
-over anyway) and otherwise wrapped in iterative compression, so no auxiliary
-forest needs to be supplied.
+over anyway).  Iterative compression is the fallback for a deeper centroid
+forest, so no auxiliary forest needs to be supplied.
 
-The driver runs the self-reduction per connected component: a root finder
-names a vertex v whose removal leaves a feasible instance, the driver
-recurses on g-v and attaches v as the root.  Solvers differ only in the
-finder they pass in.
+The driver splits every graph it is given into its connected components
+and runs the self-reduction per component: a root finder names a vertex v
+whose removal leaves a feasible instance, the driver recurses on g-v and
+attaches v as the root.  Solvers differ only in the finder they pass in.
 
 The exact scan counts only the graphs g-v: a connected g has depth at most d
 exactly when some g-v has depth at most d-1, so an exhausted scan certifies
@@ -28,7 +28,6 @@ from .forest import (
 from .graph import (
     Graph,
     centroid_forest,
-    connected_components,
     minus_vertex,
     prefix_subgraph,
     structurally_infeasible,
@@ -65,7 +64,7 @@ def build_forest(
         if rest is None:
             return None
         parts.append((verts, attach_root(rest, v)))
-    return merge_forests(g.n, parts)
+    return merge_forests(parts)
 
 
 def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
@@ -87,27 +86,18 @@ def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | N
 
 
 def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
-    """Exact-ring self-reduction per component, guided by the centroid forest
-    when its depth is at most d+1, and otherwise by iterative compression: grow
-    the graph one vertex at a time, repairing a depth-(d+1) tree into a
-    depth-d forest at every step.  Both give the same forest, since the exact
-    scan's choice of root does not depend on the auxiliary forest.  The
-    verdict None certifies that the treedepth exceeds d: the structural
-    filter that may give it first, once per component, is sound."""
+    """Exact-ring self-reduction of the whole of g, guided by the centroid
+    forest when its depth is at most d+1.  Only when it is deeper does the
+    fallback, iterative compression, supply the guide: grow the graph one
+    vertex at a time, repairing a depth-(d+1) tree into a depth-d forest at
+    every step.  Both give the same forest, since the exact scan's choice of
+    root does not depend on the auxiliary forest, and build_forest splits
+    components either way.  The verdict None certifies that the treedepth
+    exceeds d: the structural filter that may give it first is sound."""
     if g.n == 0:
         return RootedForest([])
-    if d < 1:
+    if d < 1 or structurally_infeasible(g, d):
         return None
-    parts = []
-    for verts, sub in connected_components(g):
-        f = None if structurally_infeasible(sub, d) else _compress_component(sub, d)
-        if f is None:
-            return None
-        parts.append((verts, f))
-    return merge_forests(g.n, parts)
-
-
-def _compress_component(g: Graph, d: int) -> RootedForest | None:
     c = centroid_forest(g)
     if c.max_depth <= d + 1:
         return construct_elim_forest(g, c, d)

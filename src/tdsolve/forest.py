@@ -229,10 +229,11 @@ def attach_root(f: RootedForest, v: int) -> RootedForest:
     return RootedForest(parent)
 
 
-def merge_forests(n: int, parts) -> RootedForest:
+def merge_forests(parts) -> RootedForest:
     """Union of per-component forests back in the global index space; parts
-    are (sorted global vertex list, local forest) pairs."""
-    parent = [-1] * n
+    are (sorted global vertex list, local forest) pairs whose lists together
+    cover 0..n-1 once."""
+    parent = [-1] * sum(len(verts) for verts, _ in parts)
     for verts, local in parts:
         for i, old in enumerate(verts):
             p = local.parent(i)
@@ -240,11 +241,12 @@ def merge_forests(n: int, parts) -> RootedForest:
     return RootedForest(parent)
 
 
-def expand_contracted_forest(f: RootedForest, cmap: list[tuple], n: int) -> RootedForest:
+def expand_contracted_forest(f: RootedForest, cmap: list[tuple]) -> RootedForest:
     """Undo a matching contraction inside an elimination forest: every merged
     pair becomes a parent-child chain (smaller original index on top), so the
-    depth at most doubles."""
-    parent = [-1] * n
+    depth at most doubles.  cmap lists each vertex's pre-images, as
+    contract_matching returns it, and they cover the old vertices once."""
+    parent = [-1] * sum(map(len, cmap))
     for x in range(f.n):
         pre = cmap[x]
         p = f.parent(x)

@@ -18,17 +18,18 @@ from typing import NamedTuple
 class Graph:
     __slots__ = ("n", "adj", "m", "_lower_bound")
 
-    def __init__(self, n: int, adj: list[list[int]], m: int):
-        self.n = n
+    def __init__(self, adj: list[list[int]]):
+        """adj[v] is the sorted list of v's neighbours; every edge is listed
+        at both ends and no vertex at its own, so n and m follow from it."""
+        self.n = len(adj)
         self.adj = adj
-        self.m = m
+        self.m = sum(map(len, adj)) // 2
         self._lower_bound = None
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         adj = [[] for _ in range(n)]
         seen = set()
-        m = 0
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -40,10 +41,9 @@ class Graph:
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-            m += 1
         for lst in adj:
             lst.sort()
-        return Graph(n, adj, m)
+        return Graph(adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         lst = self.adj[u]
@@ -71,28 +71,23 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     old_of_new = sorted(vertices)
     new_of_old = {old: new for new, old in enumerate(old_of_new)}
     adj = [[] for _ in old_of_new]
-    m = 0
     for new, old in enumerate(old_of_new):
         for w in g.adj[old]:
             wn = new_of_old.get(w)
             if wn is not None:
                 adj[new].append(wn)
-                if wn > new:
-                    m += 1
-    return Graph(len(old_of_new), adj, m), old_of_new
+    return Graph(adj), old_of_new
 
 
 def minus_vertex(g: Graph, v: int) -> Graph:
     """g without v; the vertices after v shift down by one."""
     adj = [[w - (w > v) for w in g.adj[u] if w != v] for u in range(g.n) if u != v]
-    return Graph(g.n - 1, adj, g.m - len(g.adj[v]))
+    return Graph(adj)
 
 
 def prefix_subgraph(g: Graph, k: int) -> Graph:
     """Subgraph induced by vertices 0..k-1 (indices preserved)."""
-    adj = [[w for w in g.adj[u] if w < k] for u in range(k)]
-    m = sum(len(a) for a in adj) // 2
-    return Graph(k, adj, m)
+    return Graph([[w for w in g.adj[u] if w < k] for u in range(k)])
 
 
 def component_labels(g: Graph) -> tuple[list[int], int]:
@@ -135,7 +130,7 @@ def connected_components(g: Graph) -> list[tuple[list[int], Graph]]:
         # every neighbour is in the component, and local indices keep the
         # order of g's, so each list comes out sorted
         adj = [[local[w] for w in g.adj[v]] for v in comp]
-        out.append((comp, Graph(len(comp), adj, sum(map(len, adj)) // 2)))
+        out.append((comp, Graph(adj)))
     return out
 
 
@@ -332,7 +327,7 @@ def improved_graph(g: Graph, d: int) -> Graph:
         adj[v].append(u)
     for lst in adj:
         lst.sort()
-    return Graph(g.n, adj, g.m + len(extra))
+    return Graph(adj)
 
 
 def _simplicial_in(g: Graph) -> list[int]:
@@ -450,4 +445,4 @@ def contract_matching(g: Graph, matching: tuple) -> tuple[Graph, list[tuple]]:
         nb = {new[w] for a in pre for w in g.adj[a]}
         nb.discard(x)
         adj.append(sorted(nb))
-    return Graph(len(cmap), adj, sum(map(len, adj)) // 2), cmap
+    return Graph(adj), cmap

@@ -307,7 +307,7 @@ def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
     f = RootedForest([-1] * g.n)
     for g, step, back in reversed(levels):
         if step.kind == "matching":
-            t = expand_contracted_forest(f, back, g.n)
+            t = expand_contracted_forest(f, back)
         else:
             t = lift_simplicial(f, back, step.improved, list(step.vertices), d)
             if t is None:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -16,8 +17,21 @@ from tdsolve.cli import (
     parse_pace_forest,
     parse_pace_graph,
 )
-from tdsolve.forest import RootedForest, validate_elimination_forest
-from tdsolve.oracle import connected_graphs_up_to, empty_graph, parent_array, random_graph
+from tdsolve.construct import solve_deterministic
+from tdsolve.forest import RootedForest, merge_forests, validate_elimination_forest
+from tdsolve.graph import connected_components
+from tdsolve.linear import solve_randomized
+from tdsolve.oracle import (
+    connected_graphs_up_to,
+    cycle,
+    disjoint_union,
+    empty_graph,
+    parent_array,
+    path,
+    random_graph,
+    random_tree,
+    relabel,
+)
 
 
 P3 = "p tdp 3 2\n1 2\n2 3\n"
@@ -276,12 +290,35 @@ def test_cli_same_seed_byte_identical(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_cli_threads_split_components(tmp_path, capsys):
-    g = "p tdp 6 4\n1 2\n2 3\n4 5\n5 6\n"
-    code, out, _ = run_cli(tmp_path, capsys, g, "--max-depth", "2")
-    assert code == 0
-    claimed, f = parse_pace_forest(out, 6)
-    assert validate_elimination_forest(parse_pace_graph(g), f, 2)
+def test_cli_splits_components_in_both_modes(tmp_path, capsys):
+    # three components, interleaved in index order; randomized component i
+    # gets the seed seed + 10007 * i
+    g = relabel(disjoint_union(path(3), cycle(4), random_tree(6, 2)), [7, 0, 12, 3, 9, 1, 5, 10, 2, 6, 11, 4, 8])
+    comps = connected_components(g)
+    assert len(comps) == 3
+    solvers = {
+        "deterministic": lambda i, sub: solve_deterministic(sub, 3),
+        "randomized": lambda i, sub: solve_randomized(sub, 3, rng=random.Random(5 + 10007 * i)),
+    }
+    for mode, solve in solvers.items():
+        want = merge_forests([(verts, solve(i, sub)) for i, (verts, sub) in enumerate(comps)])
+        code, out, err = run_cli(tmp_path, capsys, pace_text(g), "--max-depth", "3", "--mode", mode, "--seed", "5")
+        assert (code, out, err) == (0, emit_pace_forest(want), ""), mode
+        assert validate_elimination_forest(g, want, 3)
+
+
+def test_cli_negative_depth_is_usage_error(tmp_path, capsys):
+    for mode in ("deterministic", "randomized"):
+        code, out, err = run_cli(tmp_path, capsys, P3, "--max-depth", "-1", "--mode", mode)
+        assert code == 2 and out == "" and "max-depth" in err
+
+
+def test_cli_randomized_depth_zero_is_certain(tmp_path, capsys):
+    # no randomness decides budget 0, so there is no false-negative note
+    code, out, err = run_cli(tmp_path, capsys, P3, "--max-depth", "0", "--mode", "randomized")
+    assert (code, out, err) == (1, "td > 0\n", "")
+    code, out, err = run_cli(tmp_path, capsys, "p tdp 0 0\n", "--max-depth", "0", "--mode", "randomized")
+    assert (code, out, err) == (0, "0\n", "")
 
 
 def test_cli_randomized_star1500_descends_without_recursion(tmp_path, capsys):

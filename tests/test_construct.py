@@ -3,8 +3,14 @@ from hypothesis import strategies as st
 
 from tdsolve import construct
 from tdsolve.construct import construct_elim_forest, find_root_exact, solve_deterministic
-from tdsolve.forest import RootedForest, attach_root, validate_elimination_forest
-from tdsolve.graph import centroid_forest, dfs_elimination_forest, minus_vertex, prefix_subgraph
+from tdsolve.forest import RootedForest, attach_root, merge_forests, validate_elimination_forest
+from tdsolve.graph import (
+    centroid_forest,
+    connected_components,
+    dfs_elimination_forest,
+    minus_vertex,
+    prefix_subgraph,
+)
 from tdsolve.oracle import (
     brute_td,
     clique,
@@ -14,6 +20,8 @@ from tdsolve.oracle import (
     empty_graph,
     path,
     random_graph,
+    random_tree,
+    relabel,
 )
 
 
@@ -177,3 +185,27 @@ def test_compression_keeps_depth_budget_at_every_step():
     g = path(7)
     f = solve_deterministic(g, 3)
     assert f is not None and f.max_depth <= 3
+
+
+def test_one_split_is_as_good_as_two():
+    # solve_deterministic leaves components to build_forest, which picks the
+    # first feasible root of each whatever guides it; so a whole union gives
+    # the merge of its components' solves, verdict and forest
+    import random
+
+    rng = random.Random(15)
+    catalog = [g for g in connected_graphs_up_to(5) if g.n > 1]
+    catalog += [random_tree(n, seed) for seed, n in enumerate([7, 9, 12])]
+    for _ in range(40):
+        parts = rng.sample(catalog, rng.choice([2, 3]))
+        g = disjoint_union(*parts)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabel(g, perm)  # components interleave in index order
+        td = max(map(brute_td, parts))
+        comps = connected_components(g)
+        for d in (td, td - 1):
+            forests = [solve_deterministic(sub, d) for _, sub in comps]
+            want = None if None in forests else merge_forests([(verts, f) for (verts, _), f in zip(comps, forests)])
+            assert solve_deterministic(g, d) == want
+            assert (want is not None) == (d == td)

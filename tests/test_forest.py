@@ -266,14 +266,14 @@ def test_remove_vertex_keeps_elimination_property():
 
 def test_expand_contracted_k2():
     f = RootedForest([-1])
-    out = expand_contracted_forest(f, [(0, 1)], 2)
+    out = expand_contracted_forest(f, [(0, 1)])
     assert parent_array(out) == [-1, 0] and out.max_depth == 2
 
 
 def test_expand_keeps_unmatched_order():
     # path 0-1-2-3 with (1,2) contracted to x: forest 0 -> x -> 3
     f = RootedForest([-1, 0, 1])
-    out = expand_contracted_forest(f, [(0,), (1, 2), (3,)], 4)
+    out = expand_contracted_forest(f, [(0,), (1, 2), (3,)])
     assert parent_array(out) == [-1, 0, 1, 2]
 
 
@@ -282,7 +282,7 @@ def test_expand_c4_doubles_depth_and_validates():
     m = greedy_maximal_matching(g)
     gm, cmap = contract_matching(g, m)
     fm = RootedForest([-1, 0])  # chain on the contracted pair
-    out = expand_contracted_forest(fm, cmap, 4)
+    out = expand_contracted_forest(fm, cmap)
     assert out.max_depth == 4 <= 2 * brute_td(gm) + 2
     assert validate_elimination_forest(g, out, 4)
 

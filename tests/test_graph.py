@@ -18,10 +18,13 @@ from tdsolve.graph import (
     greedy_maximal_matching,
     improved_graph,
     induced_subgraph,
+    minus_vertex,
+    prefix_subgraph,
     recorded_lower_bound,
     structurally_infeasible,
     treedepth_lower_bound,
 )
+from tdsolve.cli import _parse_regular_graph
 from tdsolve.forest import validate_elimination_forest
 from tdsolve.oracle import (
     brute_td,
@@ -402,3 +405,35 @@ def test_induced_subgraph_maps_edges():
     sub, old_of_new = induced_subgraph(g, [0, 1, 3])
     assert old_of_new == [0, 1, 3]
     assert sorted(sub.edges()) == [(0, 1)]
+
+
+def assert_well_formed(h):
+    """What Graph(adj) trusts its lists to be: sorted without repeats,
+    symmetric and loop-free, so that n and m follow from them."""
+    for u, nb in enumerate(h.adj):
+        assert all(a < b for a, b in zip(nb, nb[1:])), (u, nb)
+        assert u not in nb
+        assert all(0 <= w < h.n and u in h.adj[w] for w in nb)
+    assert h.m == len(list(h.edges()))
+    back = Graph.from_edges(h.n, list(h.edges()))
+    assert (back.n, back.m, back.adj) == (h.n, h.m, h.adj)
+
+
+def test_every_builder_makes_well_formed_graphs():
+    graphs = [empty_graph(0), empty_graph(3), path(6), complete_bipartite(2, 6)]
+    graphs += [random_graph(n, m, seed) for seed, (n, m) in enumerate([(9, 14), (12, 5), (15, 40), (8, 28)])]
+    graphs += [disjoint_union(random_tree(7, 1), cycle(5), empty_graph(2))]
+    improved = 0
+    for g in graphs:
+        built = [g, _parse_regular_graph(f"p tdp {g.n} {g.m}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in g.edges()))]
+        built += [induced_subgraph(g, range(0, g.n, 2))[0], prefix_subgraph(g, g.n // 2)]
+        built += [minus_vertex(g, v) for v in range(g.n)]
+        built += [sub for _, sub in connected_components(g)]
+        built += [contract_matching(g, greedy_maximal_matching(g))[0]]
+        for d in (1, 2, 3):
+            h = improved_graph(g, d)
+            improved += h is not g
+            built.append(h)
+        for h in built:
+            assert_well_formed(h)
+    assert improved  # some call added edges rather than returning g
