@@ -17,12 +17,15 @@ of edges it read.
 Cases (randomized solves use random.Random(seed); the validation case checks
 the chain forest 0 -> 1 -> ... -> 3999, the split case splits along the DFS
 forest of its graph, and the parse case reads the PACE text of its graph,
-all built before the clock starts):
+all built before the clock starts; the bounded cases need a tree whose
+oracle has that generator):
   rand-path23-d5      solve_randomized(path(23), 5)
   rand-cycle12-d5     solve_randomized(cycle(12), 5)
   rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible
   rand-star200-d2     solve_randomized(complete_bipartite(1, 199), 2)
   rand-k2x200-d3      solve_randomized(complete_bipartite(2, 200), 3)
+  rand-bounded800-d3  solve_randomized(bounded(800, 3, 1), 3)
+  rand-bounded400-d4  solve_randomized(bounded(400, 4, 1), 4)
   det-cycle12-d5      solve_deterministic(cycle(12), 5)
   det-path15-d4       solve_deterministic(path(15), 4)
   validate-star4000   validate_elimination_forest(complete_bipartite(1, 3999),
@@ -50,6 +53,8 @@ CASES = {
     "rand-cycle12-d4": ("randomized", "cycle", (12,), 4),
     "rand-star200-d2": ("randomized", "complete_bipartite", (1, 199), 2),
     "rand-k2x200-d3": ("randomized", "complete_bipartite", (2, 200), 3),
+    "rand-bounded800-d3": ("randomized", "bounded", (800, 3, 1), 3),
+    "rand-bounded400-d4": ("randomized", "bounded", (400, 4, 1), 4),
     "det-cycle12-d5": ("deterministic", "cycle", (12,), 5),
     "det-path15-d4": ("deterministic", "path", (15,), 4),
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),

@@ -119,11 +119,44 @@ def _recover_index(num: int, den: int, ring: ExactRing) -> int | None:
     the division fails (zero or non-integral denominator)."""
     if den == 0:
         return None
-    if ring.prime:
+    if ring.modulus is not None:
         return num * mod_inverse(den, ring) % ring.modulus
     if num % den != 0:
         return None
     return num // den
+
+
+def _class_counts(
+    g: Graph, t: RootedForest, d: int, ring: ExactRing, members: list[int]
+) -> tuple[int, int]:
+    """The indicator and index counts (den, num) of a color class of the
+    connected graph g, both normalized in ring: the tree counts weighted by 1,
+    resp. v + 1, on each member v and by 0 elsewhere.
+
+    The weighted free term is sum_u w(u) * N_u, where N_u counts the sensible
+    trees rooted at u.  The kernel multiplies a term by w(u) each time it
+    puts u at skeleton index 0, the skeleton's root, so a term's weight
+    factor depends only on its mapping.  The alternating sum over the opened
+    subsets of chain interiors cancels each mapping that misses part of the
+    skeleton, and cancels it together with that factor.  The free term keeps
+    the bijective mappings, which are the sensible trees, and each has
+    exactly one vertex at index 0: its root.  So the free term is linear in
+    w, for any weights.
+
+    Both counts therefore come from one exact count.  Let
+    K = bit_length(n^(n-1)) + 1 and give each member v the weight
+    1 + ((v + 1) << K).  The count is then den + (num << K), where den is the
+    number of sensible trees rooted in the class.  Those are distinct rooted
+    trees on V(g), so den <= n^(n-1) < 2^K by Cayley's formula, and
+    divmod(count, 2^K) = (num, den) exactly.  Reducing both in ring gives
+    the residues of two separate ring counts."""
+    n = g.n
+    k = (n ** (n - 1)).bit_length() + 1
+    packed = [0] * n
+    for v in members:
+        packed[v] = 1 + ((v + 1) << k)
+    num, den = divmod(count_elim_trees(g, t, d, weights=packed), 1 << k)
+    return ring.normalize(den), ring.normalize(num)
 
 
 def find_root_colorcoding(
@@ -133,11 +166,12 @@ def find_root_colorcoding(
     graph g by random color isolation.
 
     Each coloring round tries its color classes from the smallest up.  A
-    class of two or more runs two weighted counts (an indicator weighting and
-    an index weighting) whose ratio names a vertex of that color; a singleton
-    names its vertex outright.  One count of g minus that vertex at d-1
-    certifies it.  Exhausting all retries (after the color-count doubling
-    fallback) signals a probable false negative to the caller.
+    class of two or more gets an indicator-weighted and an index-weighted
+    count from one packed count, and their ratio names a vertex of that
+    color; a singleton names its vertex outright.  One count of g minus that
+    vertex at d-1 certifies it.  Exhausting all retries (after the
+    color-count doubling fallback) signals a probable false negative to the
+    caller.
 
     With _unverified (g's count at d is not yet known to be nonzero), that
     count is made once, before the first class of two or more, and a zero
@@ -189,15 +223,7 @@ def _try_color(
         # so skip the weighted counts and certify it directly
         v = members[0]
     else:
-        ind = [0] * n
-        idx = [0] * n
-        for v in members:
-            ind[v] = 1
-            idx[v] = v + 1
-        den = count_elim_trees(g, t, d, ring, weights=ind)
-        if ring.is_zero(den):
-            return None
-        num = count_elim_trees(g, t, d, ring, weights=idx)
+        den, num = _class_counts(g, t, d, ring, members)
         one_based = _recover_index(num, den, ring)
         if one_based is None or not (1 <= one_based <= n):
             return None

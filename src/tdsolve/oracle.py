@@ -261,6 +261,38 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def bounded(n: int, d: int, seed: int) -> Graph:
+    """A connected graph of treedepth at most d: each vertex after the first
+    hangs below a random earlier vertex of depth below d, and with
+    probability 1/2 also gets an edge to a random proper ancestor of that
+    parent.  Every edge joins a vertex to one of its ancestors in this
+    depth-d tree, so the tree is an elimination tree.  Labels are shuffled."""
+    if n > 1 and d < 2:
+        raise ValueError("a connected graph on two or more vertices has treedepth at least 2")
+    rng = random.Random(seed)
+    parent = [-1]
+    depth = [1]
+    shallow = [0]  # the vertices of depth below d
+    edges = []
+    for v in range(1, n):
+        p = rng.choice(shallow)
+        parent.append(p)
+        depth.append(depth[p] + 1)
+        edges.append((p, v))
+        if rng.random() < 0.5 and parent[p] >= 0:
+            above = []
+            a = parent[p]
+            while a >= 0:
+                above.append(a)
+                a = parent[a]
+            edges.append((rng.choice(above), v))
+        if depth[v] < d:
+            shallow.append(v)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph.from_edges(n, edges), perm)
+
+
 def disjoint_union(*graphs: Graph) -> Graph:
     n = 0
     edges = []

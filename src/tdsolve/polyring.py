@@ -4,8 +4,7 @@ prime sampling.
 Polynomials are dense little-endian coefficient lists with all degrees at or
 above the cap discarded.  The zero polynomial is the empty list and
 coefficient lists carry no trailing zeros.  The counting engine calls
-`poly_mul` and `poly_trim` on its hot path, with the ring's modulus (None for
-exact integers).
+`poly_mul` and `poly_trim` on its hot path, in exact integers.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def poly_trim(coeffs: list) -> list:
     return coeffs
 
 
-def poly_mul(a: list, b: list, cap: int, mod: int | None = None) -> list:
+def poly_mul(a: list, b: list, cap: int) -> list:
     if not a or not b:
         return []
     la, lb = len(a), len(b)
@@ -89,8 +88,6 @@ def poly_mul(a: list, b: list, cap: int, mod: int | None = None) -> list:
         top = min(lb, n - i)
         for j in range(top):
             out[i + j] += ca * b[j]
-    if mod is not None:
-        out = [c % mod for c in out]
     return poly_trim(out)
 
 

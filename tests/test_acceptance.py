@@ -308,21 +308,24 @@ def test_criterion_09_linear_scaling():
     batches = 4  # CPU time, min over batches: shields ratios from scheduler/GC noise
     cfg = LinearConfig()
     t0 = time.perf_counter()
-    per_run = []
-    for exp in (10, 11, 12, 13):
-        g = path(1 << exp)
-        rng = random.Random(9)
-        reps = 50 << (13 - exp)  # equal planned work per size, far above timer ticks
+    exps = (10, 11, 12, 13)
+    graphs = [path(1 << exp) for exp in exps]
+    reps = [50 << (13 - exp) for exp in exps]  # equal planned work per size, far above timer ticks
+    rngs = [random.Random(9) for _ in exps]
+    for g, rng in zip(graphs, rngs):
         solve_randomized(g, d, cfg, rng)  # warm caches before timing
-        gc.collect()
-        best = None
-        for _ in range(batches):
+    gc.collect()
+    # every round times every size, so a drift in machine speed during one
+    # round moves all sizes alike instead of one ratio
+    best = [None] * len(exps)
+    for _ in range(batches):
+        for i, g in enumerate(graphs):
             start = time.process_time()
-            for _ in range(reps):
-                assert solve_randomized(g, d, cfg, rng) is None  # td = ceil(log2(n+1)) > 8
+            for _ in range(reps[i]):
+                assert solve_randomized(g, d, cfg, rngs[i]) is None  # td = ceil(log2(n+1)) > 8
             got = time.process_time() - start
-            best = got if best is None else min(best, got)
-        per_run.append(best / reps)
+            best[i] = got if best[i] is None else min(best[i], got)
+    per_run = [b / r for b, r in zip(best, reps)]
     total = time.perf_counter() - t0
     ratios = [per_run[i + 1] / per_run[i] for i in range(len(per_run) - 1)]
     assert total < 300

@@ -10,7 +10,7 @@ from tdsolve.counting import (
     eval_h,
 )
 from tdsolve.forest import RootedForest
-from tdsolve.graph import Graph, dfs_elimination_forest
+from tdsolve.graph import Graph, centroid_forest, dfs_elimination_forest
 from tdsolve.oracle import (
     brute_count_sensible,
     brute_td,
@@ -22,7 +22,7 @@ from tdsolve.oracle import (
     path,
     random_graph,
 )
-from tdsolve.polyring import ExactRing, ModularRing, sample_prime
+from tdsolve.polyring import ExactRing, ModularRing, poly_trim, sample_prime
 
 
 def chain(n):
@@ -329,3 +329,17 @@ def test_single_vertex_is_its_weight_and_keeps_the_checks():
         count_elim_trees(g, chain(1), 2, weights=[2], check_bounds=True)
     with pytest.raises(ValueError):
         count_elim_trees(g, chain(1), 2, cap=0)
+
+
+def test_modular_count_is_the_exact_count_mod_p():
+    # a modular count is made in integers and reduced once, at the end
+    rng = random.Random(8)
+    for p in (101, sample_prime(1 << 62, rng)):
+        ring = ModularRing(p, prime=True)
+        for g in connected_graphs_up_to(6):
+            t = centroid_forest(g)
+            d = rng.randrange(1, 5)
+            w = rng.choice([None, [rng.randrange(3 * p) for _ in range(g.n)]])
+            exact = eval_h(g, t, d, weights=w)
+            assert eval_h(g, t, d, ring, w) == tuple(poly_trim([c % p for c in exact]))
+            assert count_elim_trees(g, t, d, ring, w) == (exact[0] % p if exact else 0)

@@ -20,6 +20,7 @@ from tdsolve.linear import (
     color_count,
     construct_linear,
     determine_exact_depth,
+    _class_counts,
     find_root_colorcoding,
     new_run_context,
     solve_randomized,
@@ -36,7 +37,7 @@ from tdsolve.oracle import (
     path,
     random_tree,
 )
-from tdsolve.polyring import ModularRing
+from tdsolve.polyring import ExactRing, ModularRing
 
 
 CFG = LinearConfig()
@@ -342,6 +343,27 @@ def test_finder_counts_level_graph_at_d_only_for_a_larger_class(monkeypatch):
             assert not weighted or whole[0] < weighted[0]
             by_class += 1
     assert by_singleton and by_class
+
+
+@pytest.mark.parametrize("ring", [ExactRing(), ModularRing(101, prime=True)], ids=["exact", "mod101"])
+def test_class_counts_equal_two_separate_counts(monkeypatch, ring):
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(kwargs["weights"])
+        return count_elim_trees(*args, **kwargs)
+
+    monkeypatch.setattr(linear, "count_elim_trees", counting)
+    rng = random.Random(5)
+    for g in connected_graphs_up_to(6):
+        t = centroid_forest(g)
+        d = rng.randrange(1, 5)
+        members = sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
+        made.clear()
+        den, num = _class_counts(g, t, d, ring, members)
+        assert len(made) == 1  # one packed count
+        assert den == count_elim_trees(g, t, d, ring, weights=[int(v in members) for v in range(g.n)])
+        assert num == count_elim_trees(g, t, d, ring, weights=[v + 1 if v in members else 0 for v in range(g.n)])
 
 
 def test_infeasible_level_refuted_by_one_count_at_d(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tdsolve.graph import dfs_elimination_forest
 from tdsolve.oracle import (
     all_elimination_trees,
+    bounded,
     brute_count_sensible,
     brute_td,
     candidate_roots,
@@ -99,6 +100,21 @@ def test_random_tree_is_tree():
     from tdsolve.graph import connected_components
 
     assert len(connected_components(g)) == 1
+
+
+def test_bounded_is_connected_within_its_depth():
+    from tdsolve.graph import connected_components
+
+    for n in range(1, 9):
+        for d in range(2, 5):
+            for seed in range(4):
+                g = bounded(n, d, seed)
+                assert g.n == n and len(connected_components(g)) == 1
+                assert brute_td(g) <= d
+    assert sorted(bounded(30, 3, 1).edges()) == sorted(bounded(30, 3, 1).edges())
+    assert bounded(1, 1, 0).n == 1
+    with pytest.raises(ValueError):
+        bounded(2, 1, 0)
 
 
 def test_catalog_counts():
