@@ -28,6 +28,7 @@ oracle has that generator):
   rand-bounded400-d4  solve_randomized(bounded(400, 4, 1), 4)
   det-cycle12-d5      solve_deterministic(cycle(12), 5)
   det-path15-d4       solve_deterministic(path(15), 4)
+  det-bounded32-d4    solve_deterministic(bounded(32, 4, 1), 4)
   validate-star4000   validate_elimination_forest(complete_bipartite(1, 3999),
                       chain, 4000)
   contract-rg5000     g = random_graph(5000, 15000, 1), then
@@ -57,6 +58,7 @@ CASES = {
     "rand-bounded400-d4": ("randomized", "bounded", (400, 4, 1), 4),
     "det-cycle12-d5": ("deterministic", "cycle", (12,), 5),
     "det-path15-d4": ("deterministic", "path", (15,), 4),
+    "det-bounded32-d4": ("deterministic", "bounded", (32, 4, 1), 4),
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),
     "contract-rg5000": ("contract", "random_graph", (5000, 15000, 1), None),
     "split-rg5000": ("split", "random_graph", (5000, 4000, 1), None),

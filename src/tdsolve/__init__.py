@@ -2,11 +2,11 @@
 
 Given a graph and a depth budget d, either construct an elimination forest
 of depth at most d or report that the treedepth exceeds d — deterministically
-via an exact counting root scan guided by the centroid forest (iterative
-compression is the fallback when that forest is too deep), or with a
-randomized linear-time pipeline (matching contraction, modular counting,
-color-coding root recovery).  Both split a disconnected graph into its
-components inside the shared construction driver.
+via an exact counting root scan guided by the centroid forest (or, when that
+forest is too deep, by the reduction descent), or with a randomized
+linear-time pipeline (the same descent, modular counting, color-coding root
+recovery).  Both split a disconnected graph into its components inside the
+shared construction driver.
 """
 
 from .construct import construct_elim_forest, solve_deterministic

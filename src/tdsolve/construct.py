@@ -1,13 +1,14 @@
-"""Construction driver shared by both solvers, and the deterministic solver:
-an exact root scan on top of the counting engine, guided by the centroid
-forest when its depth is at most d+1 (the depth iterative compression counts
-over anyway).  Iterative compression is the fallback for a deeper centroid
-forest, so no auxiliary forest needs to be supplied.
+"""Construction driver shared by both solvers, the reduction descent that
+supplies its auxiliary forests, and the deterministic solver: an exact root
+scan on top of the counting engine, guided by the centroid forest when its
+depth is at most d+1 and by the descent otherwise, so no auxiliary forest
+needs to be supplied.
 
 The driver splits every graph it is given into its connected components
 and runs the self-reduction per component: a root finder names a vertex v
 whose removal leaves a feasible instance, the driver recurses on g-v and
-attaches v as the root.  Solvers differ only in the finder they pass in.
+attaches v as the root.  The descent takes a root finder the same way, so
+solvers differ only in the finder they pass in.
 
 The exact scan counts only the graphs g-v: a connected g has depth at most d
 exactly when some g-v has depth at most d-1, so an exhausted scan certifies
@@ -21,25 +22,26 @@ from .counting import count_elim_forests
 from .forest import (
     RootedForest,
     attach_root,
+    expand_contracted_forest,
+    lift_simplicial,
     merge_forests,
     remove_vertex,
     split_components,
 )
 from .graph import (
     Graph,
+    bodlaender_step,
     centroid_forest,
+    contract_matching,
+    induced_subgraph,
     minus_vertex,
-    prefix_subgraph,
     structurally_infeasible,
 )
 
+RootFinder = Callable[[Graph, RootedForest, int], tuple[int, int] | None]
 
-def build_forest(
-    g: Graph,
-    t: RootedForest,
-    d: int,
-    find_root: Callable[[Graph, RootedForest, int], tuple[int, int] | None],
-) -> RootedForest | None:
+
+def build_forest(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> RootedForest | None:
     """Build an elimination forest of g of depth at most d, guided by the
     auxiliary elimination forest t, or return None when find_root finds no
     root for some component.
@@ -67,6 +69,72 @@ def build_forest(
     return merge_forests(parts)
 
 
+def build_over_shallower(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> RootedForest | None:
+    """build_forest over the shallower of t and the centroid forest of g (t
+    on a tie): counting cost grows steeply with the depth of the auxiliary
+    forest, and any valid one will do."""
+    c = centroid_forest(g)
+    if c.max_depth < t.max_depth:
+        t = c
+    return build_forest(g, t, d, find_root)
+
+
+def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
+    """Reduction descent on a graph that passed structurally_infeasible.
+
+    Going down, each level's reduction step contracts a matching or lifts
+    simplicial vertices, and the smaller graph is filtered before the next
+    level; at most one vertex is left at the bottom.  Coming back up, each
+    level expands or lifts the forest of the level below and builds over it
+    with find_root.  A loop, not a recursion: the reduction lemma promises
+    only n/c(d) vertices per level, so the number of levels must not be
+    bounded by the interpreter's stack.
+
+    With find_root_exact every None is certified, that is td(g) > d:
+    - A lower level graph is a matching contraction of the one above (a
+      minor) or an induced subgraph of its improved graph, which has depth
+      at most d exactly when the graph above does.  Either way it fits depth
+      d whenever g does, so a None from structurally_infeasible or from
+      build_forest at any level is sound.
+    - too_deep comes from an improved-simplicial vertex of degree d+1 or
+      more, that is a (d+2)-clique in the improved graph.  Its other source,
+      the n / bod_fraction(d) threshold, cannot fire on a graph with an edge
+      below 72(d+1)^6 vertices: one matched pair already reaches it.  Above
+      that size it rests on Bodlaender's lemma.
+    - lift_simplicial returns None on a lifted vertex with d placed
+      neighbours, a (d+1)-clique.  Its depth check cannot fire: the lifted
+      set is unmatched by a maximal matching, so independent in g, and its
+      vertices have degree at most d in g, too few to share the d+1
+      neighbours an improved edge needs.  So each lands below kept
+      vertices only, at depth at most d+1 <= 2d."""
+    levels = []  # (graph, step, contraction map or kept vertices)
+    while g.n > 1:
+        step = bodlaender_step(g, d)
+        if step.kind == "too_deep":
+            return None
+        if step.kind == "matching":
+            h, back = contract_matching(g, step.matching)
+        else:
+            lifted = set(step.vertices)
+            h, back = induced_subgraph(step.improved, [v for v in range(g.n) if v not in lifted])
+        if structurally_infeasible(h, d):
+            return None
+        levels.append((g, step, back))
+        g = h
+    f = RootedForest([-1] * g.n)
+    for g, step, back in reversed(levels):
+        if step.kind == "matching":
+            t = expand_contracted_forest(f, back)
+        else:
+            t = lift_simplicial(f, back, step.improved, list(step.vertices), d)
+            if t is None:
+                return None
+        f = build_over_shallower(g, t, d, find_root)
+        if f is None:
+            return None
+    return f
+
+
 def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
     """The first vertex v, in index order, whose removal leaves a positive
     exact count at budget d-1, or the certified None when there is none.
@@ -87,13 +155,13 @@ def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | N
 
 def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
     """Exact-ring self-reduction of the whole of g, guided by the centroid
-    forest when its depth is at most d+1.  Only when it is deeper does the
-    fallback, iterative compression, supply the guide: grow the graph one
-    vertex at a time, repairing a depth-(d+1) tree into a depth-d forest at
-    every step.  Both give the same forest, since the exact scan's choice of
-    root does not depend on the auxiliary forest, and build_forest splits
-    components either way.  The verdict None certifies that the treedepth
-    exceeds d: the structural filter that may give it first is sound."""
+    forest when its depth is at most d+1, and otherwise by the reduction
+    descent with find_root_exact as its finder.  Both give the same forest,
+    since the exact scan's choice of root does not depend on the auxiliary
+    forest, and build_forest splits components either way; the guard saves
+    the descent's levels where one shallow guide is at hand.  The verdict
+    None certifies that the treedepth exceeds d: the structural filter that
+    may give it first is sound, and so is the descent (see descend)."""
     if g.n == 0:
         return RootedForest([])
     if d < 1 or structurally_infeasible(g, d):
@@ -101,9 +169,4 @@ def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
     c = centroid_forest(g)
     if c.max_depth <= d + 1:
         return construct_elim_forest(g, c, d)
-    f = RootedForest([])
-    for i in range(g.n):
-        f = construct_elim_forest(prefix_subgraph(g, i + 1), attach_root(f, i), d)
-        if f is None:
-            return None
-    return f
+    return descend(g, d, find_root_exact)

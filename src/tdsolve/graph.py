@@ -85,11 +85,6 @@ def minus_vertex(g: Graph, v: int) -> Graph:
     return Graph(adj)
 
 
-def prefix_subgraph(g: Graph, k: int) -> Graph:
-    """Subgraph induced by vertices 0..k-1 (indices preserved)."""
-    return Graph([[w for w in g.adj[u] if w < k] for u in range(k)])
-
-
 def component_labels(g: Graph) -> tuple[list[int], int]:
     """The component index of every vertex, components numbered in the order
     of their least vertex, and the number of components."""

@@ -1,7 +1,6 @@
-"""Randomized driver: a reduction descent (matching contraction or
-simplicial lifting per level, run as a loop), counting modulo a single
-globally sampled prime (exact below log2 n vertices), and color-coding root
-recovery.
+"""Randomized solver: the shared reduction descent (construct.descend) with
+a color-coding root finder, counting modulo a single globally sampled prime
+(exact below log2 n vertices).
 
 Infeasible verdicts (None) are sound when they come from the edge-count
 filter, a clique detection, or the exact small case; a verdict that
@@ -15,25 +14,10 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .construct import build_forest
+from .construct import build_over_shallower, descend
 from .counting import count_elim_forests, count_elim_trees
-from .forest import (
-    RootedForest,
-    expand_contracted_forest,
-    lift_simplicial,
-    remove_vertex,
-    validate_elimination_forest,
-)
-from .graph import (
-    Graph,
-    bodlaender_step,
-    centroid_forest,
-    contract_matching,
-    induced_subgraph,
-    minus_vertex,
-    recorded_lower_bound,
-    structurally_infeasible,
-)
+from .forest import RootedForest, remove_vertex, validate_elimination_forest
+from .graph import Graph, minus_vertex, recorded_lower_bound, structurally_infeasible
 from .polyring import ExactRing, ModularRing, mod_inverse, sample_prime
 
 
@@ -239,7 +223,7 @@ def _try_color(
 
 
 def colorcoding_root_finder(ctx: RunContext):
-    """Root finder for build_forest: the budget d* <= d from
+    """Root finder for build_forest and descend: the budget d* <= d from
     determine_exact_depth, then a color-coded root of a depth-d* tree.  When
     d* = d, g's own count at d is left to the color coding: every root it
     returns is certified through g-v, so that count is needed only before
@@ -255,16 +239,6 @@ def colorcoding_root_finder(ctx: RunContext):
     return find_root
 
 
-def _build_over_shallower(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> RootedForest | None:
-    """build_forest with the color-coding finder, counting over the shallower
-    of t and the centroid forest of g (t on a tie): counting cost grows
-    steeply with the depth of the auxiliary forest, and any valid one will do."""
-    c = centroid_forest(g)
-    if c.max_depth < t.max_depth:
-        t = c
-    return build_forest(g, t, d, colorcoding_root_finder(ctx))
-
-
 def construct_linear(
     g: Graph,
     t: RootedForest,
@@ -277,7 +251,7 @@ def construct_linear(
     negative under the large-prime ring).  The counts run over the shallower
     of t and the centroid forest of g."""
     ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))
-    return _build_over_shallower(g, t, d, ctx)
+    return build_over_shallower(g, t, d, colorcoding_root_finder(ctx))
 
 
 def solve_randomized(
@@ -300,45 +274,7 @@ def solve_randomized(
     if structurally_infeasible(g, d):
         return None
     ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))
-    f = _solve(g, d, ctx)
+    f = descend(g, d, colorcoding_root_finder(ctx))
     if f is not None and not validate_elimination_forest(g, f, d):
         raise AssertionError("solver produced an invalid forest; this is a bug")
-    return f
-
-
-def _solve(g: Graph, d: int, ctx: RunContext) -> RootedForest | None:
-    """Reduction descent on a graph that passed structurally_infeasible.
-
-    Going down, each level's reduction step contracts a matching or lifts
-    simplicial vertices, and the smaller graph is filtered before the next
-    level; at most one vertex is left at the bottom.  Coming back up, each
-    level expands or lifts the forest of the level below and builds over it.
-    A loop, not a recursion: the reduction lemma promises only n/c(d)
-    vertices per level, so the number of levels must not be bounded by the
-    interpreter's stack."""
-    levels = []  # (graph, step, contraction map or kept vertices)
-    while g.n > 1:
-        step = bodlaender_step(g, d)
-        if step.kind == "too_deep":
-            return None
-        if step.kind == "matching":
-            h, back = contract_matching(g, step.matching)
-        else:
-            lifted = set(step.vertices)
-            h, back = induced_subgraph(step.improved, [v for v in range(g.n) if v not in lifted])
-        if structurally_infeasible(h, d):
-            return None
-        levels.append((g, step, back))
-        g = h
-    f = RootedForest([-1] * g.n)
-    for g, step, back in reversed(levels):
-        if step.kind == "matching":
-            t = expand_contracted_forest(f, back)
-        else:
-            t = lift_simplicial(f, back, step.improved, list(step.vertices), d)
-            if t is None:
-                return None
-        f = _build_over_shallower(g, t, d, ctx)
-        if f is None:
-            return None
     return f

@@ -2,14 +2,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdsolve import construct
-from tdsolve.construct import construct_elim_forest, find_root_exact, solve_deterministic
+from tdsolve.construct import construct_elim_forest, descend, find_root_exact, solve_deterministic
 from tdsolve.forest import RootedForest, attach_root, merge_forests, validate_elimination_forest
 from tdsolve.graph import (
     centroid_forest,
     connected_components,
     dfs_elimination_forest,
+    induced_subgraph,
     minus_vertex,
-    prefix_subgraph,
 )
 from tdsolve.oracle import (
     brute_td,
@@ -113,7 +113,7 @@ def compress(g, d):
     repaired into a depth-d forest, one vertex at a time."""
     f = RootedForest([])
     for i in range(g.n):
-        f = construct_elim_forest(prefix_subgraph(g, i + 1), attach_root(f, i), d)
+        f = construct_elim_forest(induced_subgraph(g, range(i + 1))[0], attach_root(f, i), d)
         if f is None:
             return None
     return f
@@ -122,28 +122,45 @@ def compress(g, d):
 def test_solve_skips_compression_when_the_centroid_forest_fits(monkeypatch):
     # the exact scan picks the same roots over any auxiliary forest, so one
     # construction over a centroid forest of depth <= d+1 gives the forest
-    # that compression gives
-    prefixes = []
-    real_prefix = construct.prefix_subgraph
+    # that the descent, or compression, gives
+    steps = []
+    real_step = construct.bodlaender_step
 
-    def recording(g, k):
-        prefixes.append(k)
-        return real_prefix(g, k)
+    def recording(g, d):
+        steps.append(g.n)
+        return real_step(g, d)
 
-    monkeypatch.setattr(construct, "prefix_subgraph", recording)
-    fits = compressed = 0
+    monkeypatch.setattr(construct, "bodlaender_step", recording)
+    fits = descended = 0
     for g in connected_graphs_up_to(6):
         depth = centroid_forest(g).max_depth
         for d in range(1, 6):
-            prefixes.clear()
+            steps.clear()
             f = solve_deterministic(g, d)
             if depth <= d + 1:
-                assert not prefixes
+                assert not steps
                 fits += 1
-            elif prefixes:
-                compressed += 1
+            elif steps:
+                descended += 1
             assert f == compress(g, d)
-    assert fits and compressed
+    assert fits and descended
+
+
+def test_exact_descent_matches_the_oracle():
+    # every None of the descent with the exact scan is certified, on either
+    # side of solve_deterministic's centroid guard; and a forest is the one
+    # the exact scan builds over any guide
+    guarded = 0
+    for g in connected_graphs_up_to(6):
+        td = brute_td(g)
+        c = centroid_forest(g)
+        for d in range(1, g.n + 1):
+            f = descend(g, d, find_root_exact)
+            assert (f is None) == (td > d), (g, d)
+            if f is not None:
+                assert f == construct_elim_forest(g, c, d)
+            guarded += c.max_depth > d + 1
+    assert guarded
 
 
 def test_chosen_roots_are_genuinely_feasible():

@@ -19,7 +19,6 @@ from tdsolve.graph import (
     improved_graph,
     induced_subgraph,
     minus_vertex,
-    prefix_subgraph,
     recorded_lower_bound,
     structurally_infeasible,
     treedepth_lower_bound,
@@ -426,7 +425,7 @@ def test_every_builder_makes_well_formed_graphs():
     improved = 0
     for g in graphs:
         built = [g, _parse_regular_graph(f"p tdp {g.n} {g.m}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in g.edges()))]
-        built += [induced_subgraph(g, range(0, g.n, 2))[0], prefix_subgraph(g, g.n // 2)]
+        built += [induced_subgraph(g, range(0, g.n, 2))[0]]
         built += [minus_vertex(g, v) for v in range(g.n)]
         built += [sub for _, sub in connected_components(g)]
         built += [contract_matching(g, greedy_maximal_matching(g))[0]]

@@ -6,7 +6,7 @@ import pytest
 from tdsolve.construct import solve_deterministic
 from tdsolve.counting import count_elim_trees
 from tdsolve.forest import RootedForest, validate_elimination_forest
-from tdsolve import linear
+from tdsolve import construct, linear
 from tdsolve.graph import (
     BodlaenderOutcome,
     Graph,
@@ -192,13 +192,14 @@ def test_solve_counts_over_the_shallower_forest(monkeypatch):
         return wrapped
 
     def fake_build(g, t, d, find_root):
-        built.append((g, t, candidates[-1]))
+        if len(built) < len(candidates):  # a level's build, not build_forest's own recursion
+            built.append((g, t, candidates[-1]))
         return real_build(g, t, d, find_root)
 
-    real_build = linear.build_forest
-    monkeypatch.setattr(linear, "expand_contracted_forest", recording(linear.expand_contracted_forest))
-    monkeypatch.setattr(linear, "lift_simplicial", recording(linear.lift_simplicial))
-    monkeypatch.setattr(linear, "build_forest", fake_build)
+    real_build = construct.build_forest
+    monkeypatch.setattr(construct, "expand_contracted_forest", recording(construct.expand_contracted_forest))
+    monkeypatch.setattr(construct, "lift_simplicial", recording(construct.lift_simplicial))
+    monkeypatch.setattr(construct, "build_forest", fake_build)
     for g, d in [(path(15), 4), (random_tree(12, 7), 3), (complete_bipartite(2, 5), 3)]:
         assert solve_randomized(g, d, CFG, random.Random(3)) is not None
     swapped = 0
@@ -228,8 +229,8 @@ def test_simplicial_level_builds_the_improved_graph_once(monkeypatch):
         builds.append(args)
         return real_improve(*args)
 
-    real_step, real_improve = linear.bodlaender_step, graph.improved_graph
-    monkeypatch.setattr(linear, "bodlaender_step", step)
+    real_step, real_improve = construct.bodlaender_step, graph.improved_graph
+    monkeypatch.setattr(construct, "bodlaender_step", step)
     monkeypatch.setattr(graph, "improved_graph", improve)
     monkeypatch.setattr(linear, "improved_graph", improve, raising=False)
     g = disjoint_union(path(2), path(2), path(2))
@@ -273,8 +274,8 @@ def test_star_like_graphs_reduce_in_few_levels(monkeypatch, name, g, d, levels):
         assert len(kinds) <= levels, kinds[:8]
         return out
 
-    real_step = linear.bodlaender_step
-    monkeypatch.setattr(linear, "bodlaender_step", step)
+    real_step = construct.bodlaender_step
+    monkeypatch.setattr(construct, "bodlaender_step", step)
     f = solve_randomized(g, d, CFG, random.Random(1))
     assert f is not None and validate_elimination_forest(g, f, d)
     assert len(kinds) == levels
@@ -286,7 +287,7 @@ def test_descent_is_not_bounded_by_the_recursion_limit(monkeypatch):
     def one_pair(g, d):
         return BodlaenderOutcome("matching", matching=greedy_maximal_matching(g)[:1])
 
-    monkeypatch.setattr(linear, "bodlaender_step", one_pair)
+    monkeypatch.setattr(construct, "bodlaender_step", one_pair)
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
