@@ -27,6 +27,8 @@ oracle has that generator):
   rand-bounded800-d3  solve_randomized(bounded(800, 3, 1), 3)
   rand-bounded400-d4  solve_randomized(bounded(400, 4, 1), 4)
   det-cycle12-d5      solve_deterministic(cycle(12), 5)
+  det-cycle12-d4      solve_deterministic(cycle(12), 4), infeasible: a full
+                      root scan
   det-path15-d4       solve_deterministic(path(15), 4)
   det-bounded32-d4    solve_deterministic(bounded(32, 4, 1), 4)
   validate-star4000   validate_elimination_forest(complete_bipartite(1, 3999),
@@ -57,6 +59,7 @@ CASES = {
     "rand-bounded800-d3": ("randomized", "bounded", (800, 3, 1), 3),
     "rand-bounded400-d4": ("randomized", "bounded", (400, 4, 1), 4),
     "det-cycle12-d5": ("deterministic", "cycle", (12,), 5),
+    "det-cycle12-d4": ("deterministic", "cycle", (12,), 4),
     "det-path15-d4": ("deterministic", "path", (15,), 4),
     "det-bounded32-d4": ("deterministic", "bounded", (32, 4, 1), 4),
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),

@@ -10,9 +10,12 @@ whose removal leaves a feasible instance, the driver recurses on g-v and
 attaches v as the root.  The descent takes a root finder the same way, so
 solvers differ only in the finder they pass in.
 
-The exact scan counts only the graphs g-v: a connected g has depth at most d
-exactly when some g-v has depth at most d-1, so an exhausted scan certifies
-the verdict None (with the exact ring there are no false negatives)."""
+The exact scan looks only at the graphs g-v: a connected g has depth at most
+d exactly when some g-v has depth at most d-1, so an exhausted scan
+certifies the verdict None (with the exact ring there are no false
+negatives).  Both solvers certify a root through fits, which settles a
+component of g-v by its size or by the structural filter where it can, and
+counts it only where neither decides."""
 
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from .graph import (
     minus_vertex,
     structurally_infeasible,
 )
+from .polyring import ExactRing
 
 RootFinder = Callable[[Graph, RootedForest, int], tuple[int, int] | None]
 
@@ -96,6 +100,9 @@ def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
       at most d exactly when the graph above does.  Either way it fits depth
       d whenever g does, so a None from structurally_infeasible or from
       build_forest at any level is sound.
+    - A None from build_forest is certified by find_root_exact, whether a
+      g-v failed on a zero count or on a component the structural filter
+      refutes.
     - too_deep comes from an improved-simplicial vertex of degree d+1 or
       more, that is a (d+2)-clique in the improved graph.  Its other source,
       the n / bod_fraction(d) threshold, cannot fire on a graph with an edge
@@ -135,13 +142,32 @@ def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
     return f
 
 
-def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
-    """The first vertex v, in index order, whose removal leaves a positive
-    exact count at budget d-1, or the certified None when there is none.
+def fits(g: Graph, t: RootedForest, d: int, ring: ExactRing | None = None) -> bool:
+    """Whether count_elim_forests(g, t, d, ring) is nonzero in ring, with
+    each component settled by structure where it can be: one of at most d
+    vertices fits, one that structurally_infeasible rejects does not, and
+    the rest are counted (and their parts of t validated) once all have
+    passed the filter.  A skipped count is positive, so with a modular ring
+    a skip can only replace a residue of 0 by the right answer."""
+    ring = ring or ExactRing()
+    counted = []
+    for _, sub, subt in split_components(g, t):
+        if sub.n <= d:
+            continue
+        if structurally_infeasible(sub, d):
+            return False
+        counted.append((sub, subt))
+    return not any(ring.is_zero(count_elim_forests(sub, subt, d, ring)) for sub, subt in counted)
 
-    t is validated only as each t-v is counted against g-v."""
+
+def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
+    """The first vertex v, in index order, such that g-v fits budget d-1, or
+    the certified None when there is none: every g-v failed on a component
+    the structural filter refutes or whose exact count is zero.
+
+    t is validated only where a component of t-v is counted."""
     for v in range(g.n):
-        if count_elim_forests(minus_vertex(g, v), remove_vertex(t, v), d - 1) != 0:
+        if fits(minus_vertex(g, v), remove_vertex(t, v), d - 1):
             return v, d - 1
     return None
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .construct import build_over_shallower, descend
-from .counting import count_elim_forests, count_elim_trees
+from .construct import build_over_shallower, descend, fits
+from .counting import count_elim_trees
 from .forest import RootedForest, remove_vertex, validate_elimination_forest
 from .graph import Graph, minus_vertex, recorded_lower_bound, structurally_infeasible
 from .polyring import ExactRing, ModularRing, mod_inverse, sample_prime
@@ -152,10 +152,10 @@ def find_root_colorcoding(
     Each coloring round tries its color classes from the smallest up.  A
     class of two or more gets an indicator-weighted and an index-weighted
     count from one packed count, and their ratio names a vertex of that
-    color; a singleton names its vertex outright.  One count of g minus that
-    vertex at d-1 certifies it.  Exhausting all retries (after the
-    color-count doubling fallback) signals a probable false negative to the
-    caller.
+    color; a singleton names its vertex outright.  g minus that vertex
+    fitting d-1 (construct.fits) certifies it.  Exhausting all retries
+    (after the color-count doubling fallback) signals a probable false
+    negative to the caller.
 
     With _unverified (g's count at d is not yet known to be nonzero), that
     count is made once, before the first class of two or more, and a zero
@@ -216,9 +216,11 @@ def _try_color(
             return None
     gv = minus_vertex(g, v)
     tv = remove_vertex(t, v)
-    ver_ring = choose_modulus(gv.n, ctx.n_top, ctx.prime)
-    if ver_ring.is_zero(count_elim_forests(gv, tv, d - 1, ver_ring)):
-        return None  # failed certification: wrong candidate or unlucky prime
+    # certify through g-v at d-1 as the exact scan does, counting only the
+    # components structure leaves open; a failure means a wrong candidate or
+    # an unlucky prime
+    if not fits(gv, tv, d - 1, choose_modulus(gv.n, ctx.n_top, ctx.prime)):
+        return None
     return v
 
 

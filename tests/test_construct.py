@@ -2,18 +2,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdsolve import construct
-from tdsolve.construct import construct_elim_forest, descend, find_root_exact, solve_deterministic
-from tdsolve.forest import RootedForest, attach_root, merge_forests, validate_elimination_forest
+from tdsolve.construct import construct_elim_forest, descend, find_root_exact, fits, solve_deterministic
+from tdsolve.counting import count_elim_forests
+from tdsolve.forest import RootedForest, attach_root, merge_forests, remove_vertex, validate_elimination_forest
 from tdsolve.graph import (
     centroid_forest,
     connected_components,
     dfs_elimination_forest,
     induced_subgraph,
     minus_vertex,
+    structurally_infeasible,
 )
 from tdsolve.oracle import (
+    bounded,
     brute_td,
     clique,
+    complete_bipartite,
     connected_graphs_up_to,
     descendants,
     disjoint_union,
@@ -23,6 +27,7 @@ from tdsolve.oracle import (
     random_tree,
     relabel,
 )
+from tdsolve.polyring import ExactRing, ModularRing
 
 
 def chain(n):
@@ -106,6 +111,53 @@ def test_root_scan_returns_first_feasible_root():
             else:
                 v = next(v for v in range(g.n) if brute_td(minus_vertex(g, v)) <= d - 1)
                 assert found == (v, d - 1)
+
+
+def test_fits_is_a_nonzero_count():
+    # settling a component by its size or by the structural filter gives the
+    # verdict of counting it.  A modular count is the exact one reduced, and
+    # every count here is below 5^4 < 10007, so its residue is zero only when
+    # it is.  Counts never fall as the budget grows, so once one is positive
+    # the larger budgets need no reference count
+    rings = [ExactRing(), ModularRing(10007, prime=True)]
+    for g in connected_graphs_up_to(6):
+        for t in (dfs_elimination_forest(g), centroid_forest(g)):
+            for v in range(g.n):
+                gv, tv = minus_vertex(g, v), remove_vertex(t, v)
+                count = 0
+                for d in range(g.n + 1):
+                    count = count or count_elim_forests(gv, tv, d)
+                    for ring in rings:
+                        assert fits(gv, tv, d, ring) == (count != 0), (g, v, d, ring)
+
+
+def test_scan_refutes_by_structure_without_counting(monkeypatch):
+    # every K33 - v is K23, whose DFS path of at least 4 vertices refutes
+    # budget 2, so the exhausted scan certifies td(K33) = 4 > 3 with no count
+    # at all, though K33 itself passes the filter at 3
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted a component the structural filter refutes")
+
+    monkeypatch.setattr(construct, "count_elim_forests", refuse)
+    g = complete_bipartite(3, 3)
+    assert not structurally_infeasible(g, 3)
+    assert find_root_exact(g, dfs_elimination_forest(g), 3) is None
+    assert solve_deterministic(g, 3) is None
+
+
+def test_solve_matches_the_oracle_on_bounded_graphs():
+    # past the n <= 6 catalogue, more of the scan's g-v are settled by size
+    # or by the filter, and a None must still mean td > d
+    for n in range(7, 11):
+        for depth in range(2, 5):
+            for seed in range(3):
+                g = bounded(n, depth, seed)
+                td = brute_td(g)
+                for d in (td - 1, td):
+                    f = solve_deterministic(g, d)
+                    assert (f is None) == (d < td), (n, depth, seed, d)
+                    if f is not None:
+                        assert validate_elimination_forest(g, f, d)
 
 
 def compress(g, d):

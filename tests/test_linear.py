@@ -232,7 +232,6 @@ def test_simplicial_level_builds_the_improved_graph_once(monkeypatch):
     real_step, real_improve = construct.bodlaender_step, graph.improved_graph
     monkeypatch.setattr(construct, "bodlaender_step", step)
     monkeypatch.setattr(graph, "improved_graph", improve)
-    monkeypatch.setattr(linear, "improved_graph", improve, raising=False)
     g = disjoint_union(path(2), path(2), path(2))
     f = solve_randomized(g, 2, CFG, random.Random(0))
     assert kinds == ["matching", "simplicial"]
