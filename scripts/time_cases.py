@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time tdsolve on a few named heavy cases, optionally for two trees.
 
-    python scripts/time_cases.py [--src DIR] [--src DIR2] [--runs 3] [--case NAME ...] [--seed 0]
+    python scripts/time_cases.py [--src DIR] [--src DIR2] [--runs 3] [--case NAME [NAME ...]] [--seed 0]
 
 Each run of a case is one child process that imports tdsolve from the given
 `src` directory (default: the one next to this script), builds the graph and
@@ -116,7 +116,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", help="a tdsolve src directory; give it once or twice")
     ap.add_argument("--runs", type=int, default=3, help="runs per case and tree (default 3)")
-    ap.add_argument("--case", action="append", choices=sorted(CASES), help="a case to time (default: all)")
+    ap.add_argument(
+        "--case", nargs="+", action="extend", choices=sorted(CASES),
+        help="cases to time, after one flag or several (default: all)",
+    )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()

@@ -14,7 +14,7 @@ vertices keep their relative order.
 
 from __future__ import annotations
 
-from .graph import Graph, connected_components
+from .graph import Graph, labelled_components
 
 
 class RootedForest:
@@ -177,15 +177,9 @@ def split_components(g: Graph, t: RootedForest) -> list[tuple[list[int], Graph, 
     component's forest is its deepest proper t-ancestor inside that
     component, so depths never increase.  A connected g comes back with its
     own g and t, since restricting to one component keeps every parent."""
-    comps = connected_components(g)
+    comp, local, comps = labelled_components(g)
     if len(comps) == 1:
         return [(comps[0][0], g, t)]
-    comp = [0] * g.n
-    local = [0] * g.n
-    for c, (verts, _) in enumerate(comps):
-        for i, v in enumerate(verts):
-            comp[v] = c
-            local[v] = i
     tparent = t._parent
     parents = [[] for _ in comps]
     for v in range(g.n):  # ascending, so each component's vertices in list order

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import nlargest
+from itertools import chain
 from typing import NamedTuple
 
 
@@ -112,9 +113,15 @@ def connected_components(g: Graph) -> list[tuple[list[int], Graph]]:
 
     A connected g is its own only component, so a lower bound recorded on g
     stays with it."""
+    return labelled_components(g)[2]
+
+
+def labelled_components(g: Graph) -> tuple[list[int], list[int], list[tuple[list[int], Graph]]]:
+    """The component of every vertex, its index in that component's vertex
+    list, and connected_components(g), all from one labelling."""
     label, k = component_labels(g)
     if k == 1:
-        return [(list(range(g.n)), g)]
+        return label, range(g.n), [(list(range(g.n)), g)]
     comps = [[] for _ in range(k)]
     local = [0] * g.n
     for v, c in enumerate(label):
@@ -126,7 +133,7 @@ def connected_components(g: Graph) -> list[tuple[list[int], Graph]]:
         # order of g's, so each list comes out sorted
         adj = [[local[w] for w in g.adj[v]] for v in comp]
         out.append((comp, Graph(adj)))
-    return out
+    return label, local, out
 
 
 def dfs_elimination_forest(g: Graph):
@@ -139,9 +146,10 @@ def dfs_elimination_forest(g: Graph):
     return RootedForest(_dfs(g)[0])
 
 
-def _dfs(g: Graph) -> tuple[list[int], int]:
-    """The parent array of dfs_elimination_forest and its depth, the
-    deepest the DFS stack gets.
+def _dfs(g: Graph, first: int = 0) -> tuple[list[int], int]:
+    """The parent array of a DFS forest and its depth, the deepest the DFS
+    stack gets.  Searches start at each unvisited vertex in ascending order
+    from first, wrapping around to 0; first=0 gives dfs_elimination_forest.
 
     The stack holds plain ints and each vertex keeps a cursor into its
     adjacency list, so a deep search allocates nothing per vertex: per-vertex
@@ -153,7 +161,7 @@ def _dfs(g: Graph) -> tuple[list[int], int]:
     seen = [False] * g.n
     cursor = [0] * g.n
     deepest = 0
-    for s in range(g.n):
+    for s in chain(range(first, g.n), range(first)):
         if seen[s]:
             continue
         seen[s] = True
@@ -275,11 +283,13 @@ def recorded_lower_bound(g: Graph) -> int:
 def _lower_bound(g: Graph) -> int:
     if g.n == 0:
         return 0
-    dfs_depth = _dfs(g)[1]
+    degrees = list(map(len, g.adj))
+    # from a vertex of least degree, so a path is searched from one end
+    dfs_depth = _dfs(g, degrees.index(min(degrees)))[1]
     bound = (dfs_depth + 1).bit_length() - 1
     if (1 << bound) < dfs_depth + 1:
         bound += 1
-    seeds = nlargest(8, range(g.n), key=g.degree)
+    seeds = nlargest(8, range(g.n), key=degrees.__getitem__)
     for s in seeds:
         size = 1
         common = set(g.adj[s])

@@ -166,62 +166,36 @@ def find_root_colorcoding(
         return 0
     rng = ctx.rng
     ring = choose_modulus(n, ctx.n_top, ctx.prime)
+    ring_v = choose_modulus(n - 1, ctx.n_top, ctx.prime)  # every g-v has n-1 vertices
     colors = color_count(n, d)
-    doublings = 0
-    while True:
+    for _ in range(MAX_COLOR_DOUBLINGS + 1):
         for _ in range(MAX_COLORING_RETRIES):
             ctx.colorings_tried += 1
             coloring = [rng.randrange(colors) for _ in range(n)]
             classes: dict[int, list[int]] = {}
             for v, c in enumerate(coloring):
                 classes.setdefault(c, []).append(v)
-            order = sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))
-            for c, members in order:
-                if _unverified and len(members) > 1:
-                    if ring.is_zero(count_elim_trees(g, t, d, ring)):
-                        return None
-                    _unverified = False
-                root = _try_color(g, t, d, coloring, c, members, ring, ctx)
-                if root is not None:
+            for c, members in sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0])):
+                v = members[0]
+                if len(members) > 1:
+                    if _unverified:
+                        if ring.is_zero(count_elim_trees(g, t, d, ring)):
+                            return None
+                        _unverified = False
+                    den, num = _class_counts(g, t, d, ring, members)
+                    one_based = _recover_index(num, den, ring)
+                    if one_based is None or not 1 <= one_based <= n or coloring[one_based - 1] != c:
+                        continue
+                    v = one_based - 1
+                # certify through g-v at d-1 as the exact scan does; a failure
+                # means a wrong candidate or an unlucky prime
+                if fits(minus_vertex(g, v), remove_vertex(t, v), d - 1, ring_v):
                     ctx.roots_found += 1
-                    return root
-        if colors >= n or doublings >= MAX_COLOR_DOUBLINGS:
-            return None
+                    return v
+        if colors >= n:
+            break
         colors = min(2 * colors, n)
-        doublings += 1
-
-
-def _try_color(
-    g: Graph,
-    t: RootedForest,
-    d: int,
-    coloring: list[int],
-    c: int,
-    members: list[int],
-    ring: ExactRing,
-    ctx: RunContext,
-) -> int | None:
-    n = g.n
-    if len(members) == 1:
-        # singleton class: the count ratio can only ever name this vertex,
-        # so skip the weighted counts and certify it directly
-        v = members[0]
-    else:
-        den, num = _class_counts(g, t, d, ring, members)
-        one_based = _recover_index(num, den, ring)
-        if one_based is None or not (1 <= one_based <= n):
-            return None
-        v = one_based - 1
-        if coloring[v] != c:
-            return None
-    gv = minus_vertex(g, v)
-    tv = remove_vertex(t, v)
-    # certify through g-v at d-1 as the exact scan does, counting only the
-    # components structure leaves open; a failure means a wrong candidate or
-    # an unlucky prime
-    if not fits(gv, tv, d - 1, choose_modulus(gv.n, ctx.n_top, ctx.prime)):
-        return None
-    return v
+    return None
 
 
 def colorcoding_root_finder(ctx: RunContext):

@@ -19,6 +19,7 @@ from tdsolve.oracle import (
     clique,
     complete_bipartite,
     connected_graphs_up_to,
+    cycle,
     descendants,
     disjoint_union,
     empty_graph,
@@ -133,16 +134,17 @@ def test_fits_is_a_nonzero_count():
 
 def test_scan_refutes_by_structure_without_counting(monkeypatch):
     # every K33 - v is K23, whose DFS path of at least 4 vertices refutes
-    # budget 2, so the exhausted scan certifies td(K33) = 4 > 3 with no count
-    # at all, though K33 itself passes the filter at 3
+    # budget 2, and every C12 - v is an 11-vertex path, which refutes budget
+    # 3; so each exhausted scan certifies td > d with no count at all, though
+    # K33 passes the filter at 3 and C12 at 4
     def refuse(*args, **kwargs):
         raise AssertionError("counted a component the structural filter refutes")
 
     monkeypatch.setattr(construct, "count_elim_forests", refuse)
-    g = complete_bipartite(3, 3)
-    assert not structurally_infeasible(g, 3)
-    assert find_root_exact(g, dfs_elimination_forest(g), 3) is None
-    assert solve_deterministic(g, 3) is None
+    for g, d in [(complete_bipartite(3, 3), 3), (cycle(12), 4)]:
+        assert not structurally_infeasible(g, d)
+        assert find_root_exact(g, dfs_elimination_forest(g), d) is None
+        assert solve_deterministic(g, d) is None
 
 
 def test_solve_matches_the_oracle_on_bounded_graphs():

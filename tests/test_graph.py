@@ -397,6 +397,9 @@ def test_recorded_lower_bound_matches_fresh_computation():
 def test_lower_bound_certifies_long_paths_and_cliques():
     assert treedepth_lower_bound(path(1024)) == 11
     assert treedepth_lower_bound(clique(9)) >= 9
+    # an 11-vertex path whose vertex 0 is interior: a search from vertex 0
+    # would see 6 of its vertices and bound it by 3
+    assert treedepth_lower_bound(minus_vertex(cycle(12), 6)) == 4
 
 
 def test_induced_subgraph_maps_edges():

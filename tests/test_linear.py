@@ -398,6 +398,21 @@ def test_color_doubling_recovers_from_tiny_override(monkeypatch):
     assert f is not None and validate_elimination_forest(g, f, 3)
 
 
+def test_color_coding_gives_up_after_the_last_color_count(monkeypatch):
+    # no class ever names a certified vertex, so every count runs its
+    # retries: 1, 2, 4, 7 colors on path(7); 1, 2, ..., 256 on path(600),
+    # where the doublings run out before the count reaches n
+    monkeypatch.setattr(linear, "fits", lambda *args: False)
+    monkeypatch.setattr(linear, "_class_counts", lambda *args: (0, 0))
+    monkeypatch.setattr(linear, "color_count", lambda n, d: 1)
+    for n, counts in [(7, 4), (600, 1 + linear.MAX_COLOR_DOUBLINGS)]:
+        g = path(n)
+        ctx = new_run_context(n, 3, CFG, random.Random(0))
+        assert find_root_colorcoding(g, dfs_elimination_forest(g), 3, ctx) is None
+        assert ctx.colorings_tried == counts * linear.MAX_COLORING_RETRIES
+        assert ctx.roots_found == 0
+
+
 def test_config_color_count_defaults():
     assert color_count(100, 1) == 16
     assert color_count(5, 4) == 5
