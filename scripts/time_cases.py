@@ -21,16 +21,23 @@ all built before the clock starts; the bounded cases need a tree whose
 oracle has that generator):
   rand-path23-d5      solve_randomized(path(23), 5)
   rand-cycle12-d5     solve_randomized(cycle(12), 5)
-  rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible
+  rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible: decided by
+                      the structural filter's DFS cycle term
   rand-star200-d2     solve_randomized(complete_bipartite(1, 199), 2)
   rand-k2x200-d3      solve_randomized(complete_bipartite(2, 200), 3)
   rand-bounded800-d3  solve_randomized(bounded(800, 3, 1), 3)
   rand-bounded400-d4  solve_randomized(bounded(400, 4, 1), 4)
+  rand-k44-d4         solve_randomized(complete_bipartite(4, 4), 4),
+                      infeasible: passes the structural filter, refuted by
+                      the color-coding finder's first packed count
   det-cycle12-d5      solve_deterministic(cycle(12), 5)
-  det-cycle12-d4      solve_deterministic(cycle(12), 4), infeasible: a full
-                      root scan
+  det-cycle12-d4      solve_deterministic(cycle(12), 4), infeasible: decided by
+                      the structural filter's DFS cycle term
   det-path15-d4       solve_deterministic(path(15), 4)
   det-bounded32-d4    solve_deterministic(bounded(32, 4, 1), 4)
+  det-k44-d4          solve_deterministic(complete_bipartite(4, 4), 4),
+                      infeasible: passes the structural filter, refuted by a
+                      full root scan whose every K44-v the filter refutes
   validate-star4000   validate_elimination_forest(complete_bipartite(1, 3999),
                       chain, 4000)
   contract-rg5000     g = random_graph(5000, 15000, 1), then
@@ -58,10 +65,12 @@ CASES = {
     "rand-k2x200-d3": ("randomized", "complete_bipartite", (2, 200), 3),
     "rand-bounded800-d3": ("randomized", "bounded", (800, 3, 1), 3),
     "rand-bounded400-d4": ("randomized", "bounded", (400, 4, 1), 4),
+    "rand-k44-d4": ("randomized", "complete_bipartite", (4, 4), 4),
     "det-cycle12-d5": ("deterministic", "cycle", (12,), 5),
     "det-cycle12-d4": ("deterministic", "cycle", (12,), 4),
     "det-path15-d4": ("deterministic", "path", (15,), 4),
     "det-bounded32-d4": ("deterministic", "bounded", (32, 4, 1), 4),
+    "det-k44-d4": ("deterministic", "complete_bipartite", (4, 4), 4),
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),
     "contract-rg5000": ("contract", "random_graph", (5000, 15000, 1), None),
     "split-rg5000": ("split", "random_graph", (5000, 4000, 1), None),

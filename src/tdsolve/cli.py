@@ -145,7 +145,12 @@ def _solve(g: Graph, d: int, mode: str, seed: int):
     """Solve each connected component of g on its own, in either mode,
     stopping at the first infeasible one, and merge their forests.  Each
     solver then filters and guides a whole component.  In randomized mode
-    component i gets the seed seed + 10007 * i."""
+    component i gets the seed seed + 10007 * i.
+
+    More than d*n edges in all means more than d times its size in some
+    component, which its solver rejects, so that verdict comes first."""
+    if g.m > d * g.n:
+        return None
     parts = []
     for i, (verts, sub) in enumerate(connected_components(g)):
         if mode == "deterministic":

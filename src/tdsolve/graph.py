@@ -260,15 +260,20 @@ def centroid_forest(g: Graph):
     return RootedForest(parent)
 
 
-def treedepth_lower_bound(g: Graph) -> int:
-    """Cheap sound lower bound: a DFS chain of D vertices is a path subgraph
-    (so the treedepth is at least ceil(log2(D+1))), and a greedily grown
-    clique of size c forces treedepth at least c.
+def treedepth_lower_bound(g: Graph, d: int | None = None) -> int:
+    """Cheap sound lower bound from three subgraphs of g, which bound
+    treedepth from below because it never grows under taking subgraphs:
+    - a DFS chain of D vertices is a path, so td >= ceil(log2(D+1));
+    - a greedily grown clique of size c gives td >= c;
+    - a DFS back edge that closes a cycle of L vertices with the tree path
+      between its ends gives td >= 1 + ceil(log2 L), the depth of C_L.
+    With a budget d, the cycle term is left out when the other two already
+    exceed d: the verdict td > d is then settled.
 
     Every call computes the bound and records it on g for
     recorded_lower_bound.  Not reading the record here keeps a repeated
     solve of one Graph object as costly as the first."""
-    g._lower_bound = _lower_bound(g)
+    g._lower_bound = _lower_bound(g, d)
     return g._lower_bound
 
 
@@ -280,12 +285,12 @@ def recorded_lower_bound(g: Graph) -> int:
     return g._lower_bound
 
 
-def _lower_bound(g: Graph) -> int:
+def _lower_bound(g: Graph, d: int | None) -> int:
     if g.n == 0:
         return 0
     degrees = list(map(len, g.adj))
     # from a vertex of least degree, so a path is searched from one end
-    dfs_depth = _dfs(g, degrees.index(min(degrees)))[1]
+    parent, dfs_depth = _dfs(g, degrees.index(min(degrees)))
     bound = (dfs_depth + 1).bit_length() - 1
     if (1 << bound) < dfs_depth + 1:
         bound += 1
@@ -298,13 +303,45 @@ def _lower_bound(g: Graph) -> int:
             size += 1
             common.intersection_update(g.adj[v])
         bound = max(bound, size)
+    if d is None or bound <= d:
+        bound = max(bound, _cycle_bound(g.adj, parent))
     return max(bound, 1)
+
+
+def _cycle_bound(adj: list[list[int]], parent: list[int]) -> int:
+    """1 + ceil(log2 L) for the longest cycle of L vertices that one back
+    edge of the DFS forest `parent` closes with the tree path between its
+    ends, or 1 when g has no edge.
+
+    Every edge of a DFS forest of an undirected graph joins an ancestor and
+    a descendant, so an edge closes a cycle of its ends' depth difference
+    plus one vertices (2, for a tree edge, bounds any graph with an edge).
+    Plain loops: on graphs of a dozen vertices, per-vertex maps and level
+    lists cost more than they save."""
+    depth = [0] * len(parent)
+    for v in range(len(parent)):
+        walk = []
+        while v >= 0 and not depth[v]:
+            walk.append(v)
+            v = parent[v]
+        k = depth[v] if v >= 0 else 0
+        for u in reversed(walk):
+            k += 1
+            depth[u] = k
+    span = 0
+    for u, nb in enumerate(adj):
+        du = depth[u]
+        for w in nb:
+            if du - depth[w] > span:
+                span = du - depth[w]
+    return 1 + span.bit_length()
 
 
 def structurally_infeasible(g: Graph, d: int) -> bool:
     """Sound structural rejection of a graph with at least two vertices:
-    more than d*n edges, or a path subgraph or clique certifying td > d."""
-    return g.n > 1 and (g.m > d * g.n or treedepth_lower_bound(g) > d)
+    more than d*n edges, or a path subgraph, clique or DFS cycle certifying
+    td > d."""
+    return g.n > 1 and (g.m > d * g.n or treedepth_lower_bound(g, d) > d)
 
 
 def improved_graph(g: Graph, d: int) -> Graph:

@@ -2,11 +2,11 @@
 a color-coding root finder, counting modulo a single globally sampled prime
 (exact below log2 n vertices).
 
-Infeasible verdicts (None) are sound when they come from the edge-count
-filter, a clique detection, or the exact small case; a verdict that
-went through the large-prime ring can be a false negative with small
-probability.  Returned forests are always validated, so false positives are
-impossible.
+Infeasible verdicts (None) are sound when they come from the structural
+filter (edge count, path, clique or cycle bound) or the exact small case;
+a verdict that went through the large-prime ring can be a false negative
+with small probability.  Returned forests are always validated, so false
+positives are impossible.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def choose_modulus(r: int, n: int, sampled_prime: int) -> ExactRing:
 def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ExactRing) -> int | None:
     """The smallest budget below d with a tree count nonzero in ring, else
     d, or None when the structural lower bound exceeds d.  Budget d itself is
-    not counted: the color-coding finder counts the whole graph there only
-    when a color class needs it.
+    not counted: the color-coding finder gets that count from the packed
+    count of its first class of two or more.
 
     The scan starts at the lower bound the structural filter recorded on g
     (computed when there is none): counts below it are zero with certainty."""
@@ -112,10 +112,11 @@ def _recover_index(num: int, den: int, ring: ExactRing) -> int | None:
 
 def _class_counts(
     g: Graph, t: RootedForest, d: int, ring: ExactRing, members: list[int]
-) -> tuple[int, int]:
-    """The indicator and index counts (den, num) of a color class of the
-    connected graph g, both normalized in ring: the tree counts weighted by 1,
-    resp. v + 1, on each member v and by 0 elsewhere.
+) -> tuple[int, int, int]:
+    """The plain, indicator and index counts (total, den, num) of a color
+    class of the connected graph g, all normalized in ring: the tree counts
+    weighted by 1 on every vertex, by 1 on each member and 0 elsewhere, and
+    by v + 1 on each member v and 0 elsewhere.
 
     The weighted free term is sum_u w(u) * N_u, where N_u counts the sensible
     trees rooted at u.  The kernel multiplies a term by w(u) each time it
@@ -127,25 +128,24 @@ def _class_counts(
     exactly one vertex at index 0: its root.  So the free term is linear in
     w, for any weights.
 
-    Both counts therefore come from one exact count.  Let
-    K = bit_length(n^(n-1)) + 1 and give each member v the weight
-    1 + ((v + 1) << K).  The count is then den + (num << K), where den is the
-    number of sensible trees rooted in the class.  Those are distinct rooted
-    trees on V(g), so den <= n^(n-1) < 2^K by Cayley's formula, and
-    divmod(count, 2^K) = (num, den) exactly.  Reducing both in ring gives
-    the residues of two separate ring counts."""
+    All three counts therefore come from one exact count.  Let
+    K = bit_length(n^(n-1)) + 1, give every vertex the weight 1 and each
+    member v also 2^K + (v + 1) * 2^(2K).  The count is then
+    total + (den << K) + (num << 2K).  The sensible trees are distinct
+    rooted trees on V(g), so den <= total <= n^(n-1) < 2^K by Cayley's
+    formula, and the three fields split apart exactly.  Reducing them in
+    ring gives the residues of three separate ring counts."""
     n = g.n
     k = (n ** (n - 1)).bit_length() + 1
-    packed = [0] * n
+    packed = [1] * n
     for v in members:
-        packed[v] = 1 + ((v + 1) << k)
-    num, den = divmod(count_elim_trees(g, t, d, weights=packed), 1 << k)
-    return ring.normalize(den), ring.normalize(num)
+        packed[v] = 1 + (1 << k) + ((v + 1) << 2 * k)
+    num, low = divmod(count_elim_trees(g, t, d, weights=packed), 1 << 2 * k)
+    den, total = divmod(low, 1 << k)
+    return ring.normalize(total), ring.normalize(den), ring.normalize(num)
 
 
-def find_root_colorcoding(
-    g: Graph, t: RootedForest, d: int, ctx: RunContext, *, _unverified: bool = False
-) -> int | None:
+def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> int | None:
     """Find some feasible root of a depth-d elimination tree of the connected
     graph g by random color isolation.
 
@@ -157,9 +157,8 @@ def find_root_colorcoding(
     (after the color-count doubling fallback) signals a probable false
     negative to the caller.
 
-    With _unverified (g's count at d is not yet known to be nonzero), that
-    count is made once, before the first class of two or more, and a zero
-    returns None.
+    The packed count of a class of two or more also gives g's plain count
+    at d, and a zero one returns None: g does not fit d.
     """
     n = g.n
     if n == 1:
@@ -178,11 +177,9 @@ def find_root_colorcoding(
             for c, members in sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0])):
                 v = members[0]
                 if len(members) > 1:
-                    if _unverified:
-                        if ring.is_zero(count_elim_trees(g, t, d, ring)):
-                            return None
-                        _unverified = False
-                    den, num = _class_counts(g, t, d, ring, members)
+                    total, den, num = _class_counts(g, t, d, ring, members)
+                    if ring.is_zero(total):
+                        return None
                     one_based = _recover_index(num, den, ring)
                     if one_based is None or not 1 <= one_based <= n or coloring[one_based - 1] != c:
                         continue
@@ -202,14 +199,14 @@ def colorcoding_root_finder(ctx: RunContext):
     """Root finder for build_forest and descend: the budget d* <= d from
     determine_exact_depth, then a color-coded root of a depth-d* tree.  When
     d* = d, g's own count at d is left to the color coding: every root it
-    returns is certified through g-v, so that count is needed only before
-    a class of two or more."""
+    returns is certified through g-v, and the packed count of a class of
+    two or more carries it."""
 
     def find_root(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
         dstar = determine_exact_depth(g, t, d, choose_modulus(g.n, ctx.n_top, ctx.prime))
         if dstar is None:
             return None
-        root = find_root_colorcoding(g, t, dstar, ctx, _unverified=dstar == d)
+        root = find_root_colorcoding(g, t, dstar, ctx)
         return None if root is None else (root, dstar - 1)
 
     return find_root

@@ -95,11 +95,15 @@ def poly_mul(a: list, b: list, cap: int) -> list:
 # primality and prime sampling
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Sinclair's seven bases: a Miller-Rabin test with them is exact below 2^64
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set is complete for every
-    modulus the sampler can produce (far beyond 64-bit)."""
+    """Deterministic Miller-Rabin after trial division by the first twelve
+    primes: with Sinclair's seven bases below 2^64, and with those twelve
+    primes as bases above it (complete far beyond any modulus the sampler
+    can produce).  A base that n divides is skipped."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -110,7 +114,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES_64 if n < 1 << 64 else _MR_WITNESSES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -22,6 +22,7 @@ from tdsolve.forest import RootedForest, merge_forests, validate_elimination_for
 from tdsolve.graph import connected_components
 from tdsolve.linear import solve_randomized
 from tdsolve.oracle import (
+    clique,
     connected_graphs_up_to,
     cycle,
     disjoint_union,
@@ -305,6 +306,22 @@ def test_cli_splits_components_in_both_modes(tmp_path, capsys):
         code, out, err = run_cli(tmp_path, capsys, pace_text(g), "--max-depth", "3", "--mode", mode, "--seed", "5")
         assert (code, out, err) == (0, emit_pace_forest(want), ""), mode
         assert validate_elimination_forest(g, want, 3)
+
+
+def test_cli_edge_count_decides_before_the_split(tmp_path, capsys, monkeypatch):
+    # 1 + 28 edges on 10 vertices is more than 2 * 10: the verdict needs no
+    # solver, though the first component, one edge, fits budget 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a component of a graph with too many edges")
+
+    monkeypatch.setattr(cli, "solve_deterministic", refuse)
+    monkeypatch.setattr(cli, "solve_randomized", refuse)
+    monkeypatch.setattr(cli, "connected_components", refuse)
+    g = disjoint_union(path(2), clique(8))
+    assert g.m > 2 * g.n
+    for mode in ("deterministic", "randomized"):
+        code, out, _ = run_cli(tmp_path, capsys, pace_text(g), "--max-depth", "2", "--mode", mode)
+        assert (code, out) == (1, "td > 2\n"), mode
 
 
 def test_cli_negative_depth_is_usage_error(tmp_path, capsys):

@@ -133,18 +133,22 @@ def test_fits_is_a_nonzero_count():
 
 
 def test_scan_refutes_by_structure_without_counting(monkeypatch):
-    # every K33 - v is K23, whose DFS path of at least 4 vertices refutes
-    # budget 2, and every C12 - v is an 11-vertex path, which refutes budget
-    # 3; so each exhausted scan certifies td > d with no count at all, though
-    # K33 passes the filter at 3 and C12 at 4
+    # every K44 - v is K34, whose DFS closes a 6-cycle and so refutes budget
+    # 3; the exhausted scan certifies td > 4 with no count at all, though K44
+    # passes the filter at 4 (its 8-cycle bounds it by 4 only).  K33 at 3
+    # and C12 at 4 no longer reach the scan: their DFS cycles of 6 and 12
+    # vertices refute them in the filter
     def refuse(*args, **kwargs):
         raise AssertionError("counted a component the structural filter refutes")
 
     monkeypatch.setattr(construct, "count_elim_forests", refuse)
     for g, d in [(complete_bipartite(3, 3), 3), (cycle(12), 4)]:
-        assert not structurally_infeasible(g, d)
-        assert find_root_exact(g, dfs_elimination_forest(g), d) is None
+        assert structurally_infeasible(g, d)
         assert solve_deterministic(g, d) is None
+    g = complete_bipartite(4, 4)
+    assert not structurally_infeasible(g, 4)
+    assert find_root_exact(g, dfs_elimination_forest(g), 4) is None
+    assert solve_deterministic(g, 4) is None
 
 
 def test_solve_matches_the_oracle_on_bounded_graphs():

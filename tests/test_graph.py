@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -379,8 +380,38 @@ def test_improvement_preserves_feasibility_n7(seed):
 
 
 def test_lower_bound_is_sound_on_catalog():
-    for g in connected_graphs_up_to(5):
+    for g in connected_graphs_up_to(6):
         assert treedepth_lower_bound(g) <= brute_td(g)
+
+
+def test_lower_bound_is_sound_on_random_connected_graphs():
+    # a random tree with extra random edges: every one is connected
+    rng = random.Random(4)
+    for seed in range(150):
+        n = rng.randrange(6, 11)
+        extra = random_graph(n, rng.randrange(0, 2 * n), seed)
+        g = Graph.from_edges(n, edge_set(random_tree(n, seed)) | edge_set(extra))
+        assert treedepth_lower_bound(g) <= brute_td(g), list(g.edges())
+
+
+def test_lower_bound_is_the_depth_of_a_cycle():
+    # the DFS of a cycle closes all of it with one back edge, and
+    # td(C_n) = 1 + ceil(log2 n)
+    for n in range(3, 13):
+        assert treedepth_lower_bound(cycle(n)) == brute_td(cycle(n)) == 1 + (n - 1).bit_length()
+
+
+def test_cycle_term_runs_only_while_the_budget_is_open():
+    # path and clique terms bound C12 by 4 and K9 by 9; the cycle term
+    # raises C12 to 5 whenever a budget leaves it open, and a filter that
+    # passes records it for the depth scan
+    assert treedepth_lower_bound(cycle(12), 3) == 4
+    assert treedepth_lower_bound(cycle(12), 4) == treedepth_lower_bound(cycle(12)) == 5
+    assert treedepth_lower_bound(clique(9), 8) == 9
+    assert structurally_infeasible(cycle(12), 4)
+    g = cycle(12)
+    assert not structurally_infeasible(g, 5)
+    assert recorded_lower_bound(g) == 5
 
 
 def test_recorded_lower_bound_matches_fresh_computation():

@@ -6,7 +6,7 @@ import pytest
 from tdsolve.construct import solve_deterministic
 from tdsolve.counting import count_elim_trees
 from tdsolve.forest import RootedForest, validate_elimination_forest
-from tdsolve import construct, linear
+from tdsolve import construct, counting, linear
 from tdsolve.graph import (
     BodlaenderOutcome,
     Graph,
@@ -328,6 +328,8 @@ def record_finder_counts(monkeypatch):
 
 
 def test_finder_counts_level_graph_at_d_only_for_a_larger_class(monkeypatch):
+    # the level graph's count at d rides in the packed count of a class of
+    # two or more, so the finder never counts it on its own
     finds = record_finder_counts(monkeypatch)
     for g, d in [(path(15), 4), (random_tree(12, 7), 3), (cycle(8), 4), (complete_bipartite(2, 5), 3)]:
         assert solve_randomized(g, d, CFG, random.Random(3)) is not None
@@ -335,12 +337,10 @@ def test_finder_counts_level_graph_at_d_only_for_a_larger_class(monkeypatch):
     for n, d, found, made in finds:
         whole = [i for i, c in enumerate(made) if c == (n, d, False)]
         weighted = [i for i, c in enumerate(made) if c[2]]
-        assert len(whole) <= 1
+        assert not whole
         if found is not None and found[1] == d - 1 and not weighted:
-            assert not whole  # a singleton class certified its vertex
-            by_singleton += 1
-        if whole:
-            assert not weighted or whole[0] < weighted[0]
+            by_singleton += 1  # a singleton class certified its vertex
+        if weighted:
             by_class += 1
     assert by_singleton and by_class
 
@@ -360,18 +360,39 @@ def test_class_counts_equal_two_separate_counts(monkeypatch, ring):
         d = rng.randrange(1, 5)
         members = sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
         made.clear()
-        den, num = _class_counts(g, t, d, ring, members)
+        total, den, num = _class_counts(g, t, d, ring, members)
         assert len(made) == 1  # one packed count
+        assert total == count_elim_trees(g, t, d, ring)
         assert den == count_elim_trees(g, t, d, ring, weights=[int(v in members) for v in range(g.n)])
         assert num == count_elim_trees(g, t, d, ring, weights=[v + 1 if v in members else 0 for v in range(g.n)])
 
 
 def test_infeasible_level_refuted_by_one_count_at_d(monkeypatch):
+    # td(K44) = 5, but its structural bound is 4, so the finder meets it at
+    # d = 4; every K44 - v is K34, refuted by structure, so the singleton
+    # classes cost no count, and the packed count of the first larger class
+    # refutes the level
     finds = record_finder_counts(monkeypatch)
     assert solve_randomized(cycle(12), 4, CFG, random.Random(0)) is None  # td(C12) = 5
+    assert not finds  # refuted by the structural filter
+    assert solve_randomized(complete_bipartite(4, 4), 4, CFG, random.Random(0)) is None
     n, d, found, made = finds[-1]
-    assert (n, d, found) == (12, 4, None)
-    assert made.count((12, 4, False)) == 1 and not any(c[2] for c in made)
+    assert (n, d, found) == (8, 4, None)
+    assert made == [(8, 4, True)]
+
+
+def test_six_cycle_refuted_at_three_before_any_count_or_prime(monkeypatch):
+    # the DFS of C6 closes all six vertices with one back edge, so
+    # td(C6) = 4 > 3 follows from the structural filter alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted or drew a prime for a structural verdict")
+
+    monkeypatch.setattr(counting, "count_elim_trees", refuse)
+    monkeypatch.setattr(linear, "count_elim_trees", refuse)
+    monkeypatch.setattr(linear, "sample_prime", refuse)
+    g = cycle(6)
+    assert solve_deterministic(g, 3) is None
+    assert solve_randomized(g, 3, CFG, random.Random(0)) is None
 
 
 def test_solve_randomized_path15_within_budget():
@@ -403,7 +424,7 @@ def test_color_coding_gives_up_after_the_last_color_count(monkeypatch):
     # retries: 1, 2, 4, 7 colors on path(7); 1, 2, ..., 256 on path(600),
     # where the doublings run out before the count reaches n
     monkeypatch.setattr(linear, "fits", lambda *args: False)
-    monkeypatch.setattr(linear, "_class_counts", lambda *args: (0, 0))
+    monkeypatch.setattr(linear, "_class_counts", lambda *args: (1, 0, 0))
     monkeypatch.setattr(linear, "color_count", lambda n, d: 1)
     for n, counts in [(7, 4), (600, 1 + linear.MAX_COLOR_DOUBLINGS)]:
         g = path(n)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdsolve import polyring
 from tdsolve.linear import LinearConfig
 from tdsolve.polyring import ModularRing, is_prime, mod_inverse, poly_mul, poly_trim, sample_prime
 
@@ -110,3 +111,55 @@ def test_sampler_interval_bound_caps_at_word_range():
     cfg = LinearConfig()
     assert cfg.prime_bound(1, 1) == max(21, 32)
     assert cfg.prime_bound(50, 6) == cfg.word_cap
+
+
+def twelve_witness_is_prime(n):
+    """Miller-Rabin with the first twelve primes as bases for every n: the
+    test is_prime replaces with Sinclair's bases below 2^64."""
+    if n < 2:
+        return False
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in witnesses:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_agrees_with_twelve_witnesses():
+    for n in range(2 * 10**5):
+        assert is_prime(n) == twelve_witness_is_prime(n), n
+    # the sampler's interval at its word cap
+    bound = LinearConfig().prime_bound(12, 4)
+    rng = random.Random(8)
+    for _ in range(2 * 10**5):
+        n = rng.randrange(bound + 1, 2 * bound)
+        assert is_prime(n) == twelve_witness_is_prime(n), n
+    # a strong pseudoprime to the bases 2, 3, ..., 23
+    assert is_prime(3825123056546413051) == twelve_witness_is_prime(3825123056546413051)
+    assert not is_prime(3825123056546413051)
+    assert is_prime((1 << 64) + 13) and not is_prime((1 << 64) + 1)
+
+
+def test_sample_prime_draws_as_with_twelve_witnesses(monkeypatch):
+    bound = LinearConfig().prime_bound(12, 4)
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        p = sample_prime(bound, fast)
+        with monkeypatch.context() as m:
+            m.setattr(polyring, "is_prime", twelve_witness_is_prime)
+            assert sample_prime(bound, slow) == p
+        assert fast.getstate() == slow.getstate()
