@@ -1,24 +1,27 @@
 #!/usr/bin/env python3
 """Time tdsolve on a few named heavy cases, optionally for two trees.
 
-    python scripts/time_cases.py [--src DIR] [--src DIR2] [--runs 3] [--case NAME [NAME ...]] [--seed 0]
+    python scripts/time_cases.py [--src DIR] [--src DIR2] [--runs 3] [--case NAME [NAME ...]] [--seed 0 [1 ...]]
 
 Each run of a case is one child process that imports tdsolve from the given
 `src` directory (default: the one next to this script), builds the graph and
 measures the CPU time of one solve or validation.  With two --src trees, the
 runs alternate between them, so a drift in machine speed hits both alike.
-The table gives, per case and tree, the minimum CPU time over the runs and
-the depth of the forest found ("none" for an infeasible verdict); a
+A randomized case runs once per seed in every run; the other cases ignore
+the seeds.  The table gives, per case and tree, the median and the maximum
+over the seeds of each seed's minimum CPU time over the runs (one seed's
+colour draws can make a randomized solve many times slower than another's),
+and the depth of the forest found ("none" for an infeasible verdict); a
 validation case shows the depth of the forest it checked, or "none" when the
 check fails, the contraction case the number of levels it contracted, the
 split case the number of components it found, and the parse case the number
 of edges it read.
 
-Cases (randomized solves use random.Random(seed); the validation case checks
-the chain forest 0 -> 1 -> ... -> 3999, the split case splits along the DFS
-forest of its graph, and the parse case reads the PACE text of its graph,
-all built before the clock starts; the bounded cases need a tree whose
-oracle has that generator):
+Cases (randomized solves use random.Random(seed) for each seed; the
+validation case checks the chain forest 0 -> 1 -> ... -> 3999, the split
+case splits along the DFS forest of its graph, and the parse case reads the
+PACE text of its graph, all built before the clock starts; the bounded
+cases need a tree whose oracle has that generator):
   rand-path23-d5      solve_randomized(path(23), 5)
   rand-cycle12-d5     solve_randomized(cycle(12), 5)
   rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible: decided by
@@ -52,6 +55,7 @@ oracle has that generator):
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -129,37 +133,43 @@ def main() -> int:
         "--case", nargs="+", action="extend", choices=sorted(CASES),
         help="cases to time, after one flag or several (default: all)",
     )
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument(
+        "--seed", type=int, nargs="+", default=[0],
+        help="seeds of the randomized cases, each run in every run (default: 0)",
+    )
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()
     srcs = args.src or [os.path.join(ROOT, "src")]
     if args.child:
-        child(srcs[0], args.child, args.seed)
+        child(srcs[0], args.child, args.seed[0])
         return 0
     if len(srcs) > 2:
         ap.error("give --src at most twice")
     names = args.case or list(CASES)
 
-    best: dict = {}
+    best: dict = {}  # (case, src, seed) -> minimum CPU time over the runs
     depth: dict = {}
     for _ in range(args.runs):
         for name in names:
-            for src in srcs:
-                cmd = [sys.executable, os.path.abspath(__file__), "--child", name, "--src", src, "--seed", str(args.seed)]
-                got = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
-                key = (name, src)
-                best[key] = min(best.get(key, got["cpu"]), got["cpu"])
-                depth.setdefault(key, set()).add(got["depth"])
+            for seed in args.seed if CASES[name][0] == "randomized" else args.seed[:1]:
+                for src in srcs:
+                    cmd = [sys.executable, os.path.abspath(__file__), "--child", name, "--src", src, "--seed", str(seed)]
+                    got = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+                    key = (name, src, seed)
+                    best[key] = min(best.get(key, got["cpu"]), got["cpu"])
+                    depth.setdefault((name, src), set()).add(got["depth"])
 
-    print(f"minimum CPU seconds of {args.runs} runs, depth of the forest found")
+    print(f"median and maximum over {len(args.seed)} seed(s) of the minimum CPU seconds of {args.runs} runs, "
+          "depth of the forest found")
     for i, src in enumerate(srcs):
         print(f"  [{i}] {src}")
     for name in names:
         cells = []
         for src in srcs:
+            times = [t for (case, s, _), t in best.items() if case == name and s == src]
             found = depth[(name, src)]
             shown = "/".join("none" if x is None else str(x) for x in sorted(found, key=str))
-            cells.append(f"{best[(name, src)]:8.3f} s  depth {shown:4}")
+            cells.append(f"{statistics.median(times):8.3f} {max(times):8.3f} s  depth {shown:4}")
         print(f"{name:18} " + "   ".join(cells).rstrip())
     return 0
 

@@ -1,21 +1,20 @@
 """Construction driver shared by both solvers, the reduction descent that
 supplies its auxiliary forests, and the deterministic solver: an exact root
-scan on top of the counting engine, guided by the centroid forest when its
-depth is at most d+1 and by the descent otherwise, so no auxiliary forest
-needs to be supplied.
+scan on top of the counting engine.
 
 The driver splits every graph it is given into its connected components
 and runs the self-reduction per component: a root finder names a vertex v
 whose removal leaves a feasible instance, the driver recurses on g-v and
-attaches v as the root.  The descent takes a root finder the same way, so
-solvers differ only in the finder they pass in.
+attaches v as the root.  Both solvers enter through build_guided (the
+centroid forest, or the descent when that is more than d+1 deep), so they
+differ only in the finder they pass in.
 
 The exact scan looks only at the graphs g-v: a connected g has depth at most
 d exactly when some g-v has depth at most d-1, so an exhausted scan
 certifies the verdict None (with the exact ring there are no false
 negatives).  Both solvers certify a root through fits, which settles a
 component of g-v by its size or by the structural filter where it can, and
-counts it only where neither decides."""
+builds t-v and counts only where neither decides."""
 
 from __future__ import annotations
 
@@ -37,12 +36,14 @@ from .graph import (
     centroid_forest,
     contract_matching,
     induced_subgraph,
+    labelled_components,
     minus_vertex,
     structurally_infeasible,
 )
 from .polyring import ExactRing
 
 RootFinder = Callable[[Graph, RootedForest, int], tuple[int, int] | None]
+LazyForest = RootedForest | Callable[[], RootedForest]
 
 
 def build_forest(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> RootedForest | None:
@@ -77,14 +78,12 @@ def build_over_shallower(g: Graph, t: RootedForest, d: int, find_root: RootFinde
     """build_forest over the shallower of t and the centroid forest of g (t
     on a tie): counting cost grows steeply with the depth of the auxiliary
     forest, and any valid one will do."""
-    c = centroid_forest(g)
-    if c.max_depth < t.max_depth:
-        t = c
-    return build_forest(g, t, d, find_root)
+    return build_forest(g, min(t, centroid_forest(g), key=lambda f: f.max_depth), d, find_root)
 
 
 def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
-    """Reduction descent on a graph that passed structurally_infeasible.
+    """Reduction descent on a graph that passed structurally_infeasible and
+    whose centroid forest is more than d+1 deep (see build_guided).
 
     Going down, each level's reduction step contracts a matching or lifts
     simplicial vertices, and the smaller graph is filtered before the next
@@ -142,22 +141,22 @@ def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
     return f
 
 
-def fits(g: Graph, t: RootedForest, d: int, ring: ExactRing | None = None) -> bool:
-    """Whether count_elim_forests(g, t, d, ring) is nonzero in ring, with
-    each component settled by structure where it can be: one of at most d
-    vertices fits, one that structurally_infeasible rejects does not, and
-    the rest are counted (and their parts of t validated) once all have
-    passed the filter.  A skipped count is positive, so with a modular ring
-    a skip can only replace a residue of 0 by the right answer."""
+def fits(g: Graph, t: LazyForest, d: int, ring: ExactRing | None = None) -> bool:
+    """Whether count_elim_forests(g, t, d, ring) is nonzero in ring.  A
+    component of at most d vertices fits, one that structurally_infeasible
+    rejects does not, and the rest are counted once all have passed the
+    filter; only then is t built (when it is a function) and validated.  A
+    skipped count is positive, so with a modular ring a skip can only
+    replace a residue of 0 by the right answer."""
+    big = [sub for _, sub in labelled_components(g)[2] if sub.n > d]
+    if any(structurally_infeasible(sub, d) for sub in big):
+        return False
+    if not big:
+        return True
     ring = ring or ExactRing()
-    counted = []
-    for _, sub, subt in split_components(g, t):
-        if sub.n <= d:
-            continue
-        if structurally_infeasible(sub, d):
-            return False
-        counted.append((sub, subt))
-    return not any(ring.is_zero(count_elim_forests(sub, subt, d, ring)) for sub, subt in counted)
+    parts = split_components(g, t if isinstance(t, RootedForest) else t())
+    return not any(ring.is_zero(count_elim_forests(sub, subt, d, ring))
+                   for _, sub, subt in parts if sub.n > d)
 
 
 def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
@@ -165,9 +164,9 @@ def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None
     the certified None when there is none: every g-v failed on a component
     the structural filter refutes or whose exact count is zero.
 
-    t is validated only where a component of t-v is counted."""
+    t-v is built, and validated, only where a component of g-v is counted."""
     for v in range(g.n):
-        if fits(minus_vertex(g, v), remove_vertex(t, v), d - 1):
+        if fits(minus_vertex(g, v), lambda: remove_vertex(t, v), d - 1):
             return v, d - 1
     return None
 
@@ -175,24 +174,27 @@ def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None
 def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | None:
     """Exact-ring self-reduction: an elimination forest of g of depth at most
     d, or the verdict None, certified by an exhausted root scan.  t is
-    validated per tried t-v, not against g as a whole."""
+    validated per counted t-v, not against g as a whole."""
     return build_forest(g, t, d, find_root_exact)
 
 
+def build_guided(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
+    """Both solvers' entry after their filter: the descent exists to supply
+    an auxiliary forest of depth O(d), so a centroid forest at most d+1 <= 2d
+    deep is built over directly, and only a deeper one takes the descent."""
+    c = centroid_forest(g)
+    if c.max_depth <= d + 1:
+        return build_forest(g, c, d, find_root)
+    return descend(g, d, find_root)
+
+
 def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
-    """Exact-ring self-reduction of the whole of g, guided by the centroid
-    forest when its depth is at most d+1, and otherwise by the reduction
-    descent with find_root_exact as its finder.  Both give the same forest,
-    since the exact scan's choice of root does not depend on the auxiliary
-    forest, and build_forest splits components either way; the guard saves
-    the descent's levels where one shallow guide is at hand.  The verdict
-    None certifies that the treedepth exceeds d: the structural filter that
-    may give it first is sound, and so is the descent (see descend)."""
+    """Exact-ring self-reduction of g through build_guided with
+    find_root_exact, whose roots do not depend on the auxiliary forest.  The
+    verdict None certifies td(g) > d: the structural filter that may give it
+    first is sound, and so is the descent (see descend)."""
     if g.n == 0:
         return RootedForest([])
     if d < 1 or structurally_infeasible(g, d):
         return None
-    c = centroid_forest(g)
-    if c.max_depth <= d + 1:
-        return construct_elim_forest(g, c, d)
-    return descend(g, d, find_root_exact)
+    return build_guided(g, d, find_root_exact)

@@ -1,6 +1,6 @@
-"""Randomized solver: the shared reduction descent (construct.descend) with
-a color-coding root finder, counting modulo a single globally sampled prime
-(exact below log2 n vertices).
+"""Randomized solver: construct.build_guided (the centroid forest when it is
+at most d+1 deep, else the reduction descent) with a color-coding root
+finder, counting modulo one globally sampled prime (exact below log2 n).
 
 Infeasible verdicts (None) are sound when they come from the structural
 filter (edge count, path, clique or cycle bound) or the exact small case;
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .construct import build_over_shallower, descend, fits
+from .construct import build_guided, build_over_shallower, fits
 from .counting import count_elim_trees
 from .forest import RootedForest, remove_vertex, validate_elimination_forest
 from .graph import Graph, minus_vertex, recorded_lower_bound, structurally_infeasible
@@ -186,7 +186,7 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
                     v = one_based - 1
                 # certify through g-v at d-1 as the exact scan does; a failure
                 # means a wrong candidate or an unlucky prime
-                if fits(minus_vertex(g, v), remove_vertex(t, v), d - 1, ring_v):
+                if fits(minus_vertex(g, v), lambda: remove_vertex(t, v), d - 1, ring_v):
                     ctx.roots_found += 1
                     return v
         if colors >= n:
@@ -233,21 +233,19 @@ def solve_randomized(
     cfg: LinearConfig | None = None,
     rng: random.Random | None = None,
 ) -> RootedForest | None:
-    """Full randomized pipeline: edge-count filter, reduction by matching
-    contraction or simplicial removal (whichever is larger), then linear
-    construction over the shallower of the expanded (or lifted) auxiliary
-    forest and the centroid forest.  Never returns an invalid forest; None
-    may be a false negative (probability bounded by the modulus analysis)."""
+    """Full randomized pipeline: the structural filter, the prime draw, then
+    construct.build_guided with the color-coding finder, which counts over
+    the centroid forest when it is at most d+1 deep and runs the reduction
+    descent otherwise.  Never returns an invalid forest; None may be a false
+    negative (probability bounded by the modulus analysis)."""
     if g.n == 0:
         return RootedForest([])
-    if d < 1:
-        return None
     # structural rejections need no randomness, so they come before the
     # one-time prime draw
-    if structurally_infeasible(g, d):
+    if d < 1 or structurally_infeasible(g, d):
         return None
     ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))
-    f = descend(g, d, colorcoding_root_finder(ctx))
+    f = build_guided(g, d, colorcoding_root_finder(ctx))
     if f is not None and not validate_elimination_forest(g, f, d):
         raise AssertionError("solver produced an invalid forest; this is a bug")
     return f

@@ -36,7 +36,7 @@ GOLDEN = {
     ("cycle6", "det", 3): (1, "td > 3\n"),
     ("cycle6", "det", 4): (0, "4\n0\n3\n1\n5\n3\n5\n"),
     ("cycle6", "ran", 3): (1, "td > 3\n"),
-    ("cycle6", "ran", 4): (0, "4\n0\n3\n4\n1\n6\n4\n"),
+    ("cycle6", "ran", 4): (0, "4\n5\n0\n5\n3\n2\n1\n"),
     ("star5", "det", 1): (1, "td > 1\n"),
     ("star5", "det", 2): (0, "2\n0\n1\n1\n1\n1\n"),
     ("star5", "ran", 1): (1, "td > 1\n"),
@@ -48,7 +48,7 @@ GOLDEN = {
     ("clique4", "det", 3): (1, "td > 3\n"),
     ("clique4", "det", 4): (0, "4\n0\n1\n2\n3\n"),
     ("clique4", "ran", 3): (1, "td > 3\n"),
-    ("clique4", "ran", 4): (0, "4\n2\n0\n1\n3\n"),
+    ("clique4", "ran", 4): (0, "4\n2\n4\n1\n0\n"),
     ("tree9", "det", 2): (1, "td > 2\n"),
     ("tree9", "det", 3): (0, "3\n4\n1\n1\n0\n1\n4\n4\n4\n7\n"),
     ("tree9", "ran", 2): (1, "td > 2\n"),
@@ -60,23 +60,23 @@ GOLDEN = {
     ("sparse7", "det", 3): (1, "td > 3\n"),
     ("sparse7", "det", 4): (0, "4\n5\n0\n1\n6\n2\n5\n6\n"),
     ("sparse7", "ran", 3): (1, "td > 3\n"),
-    ("sparse7", "ran", 4): (0, "4\n3\n4\n5\n7\n0\n4\n5\n"),
+    ("sparse7", "ran", 4): (0, "4\n3\n0\n5\n6\n2\n5\n6\n"),
     ("sparse8", "det", 3): (1, "td > 3\n"),
     ("sparse8", "det", 4): (0, "4\n0\n6\n1\n3\n4\n3\n0\n6\n"),
     ("sparse8", "ran", 3): (1, "td > 3\n"),
-    ("sparse8", "ran", 4): (0, "4\n3\n6\n0\n5\n1\n1\n0\n6\n"),
+    ("sparse8", "ran", 4): (0, "4\n0\n6\n1\n3\n4\n3\n0\n6\n"),
     ("sparse9", "det", 3): (1, "td > 3\n"),
     ("sparse9", "det", 4): (0, "4\n0\n4\n2\n1\n2\n2\n4\n7\n1\n"),
     ("sparse9", "ran", 3): (1, "td > 3\n"),
-    ("sparse9", "ran", 4): (0, "4\n7\n7\n2\n2\n0\n2\n5\n1\n1\n"),
+    ("sparse9", "ran", 4): (0, "4\n7\n4\n2\n0\n2\n2\n4\n1\n1\n"),
     ("union", "det", 3): (1, "td > 3\n"),
     ("union", "det", 4): (0, "4\n0\n1\n4\n2\n4\n0\n6\n9\n7\n9\n"),
     ("union", "ran", 3): (1, "td > 3\n"),
-    ("union", "ran", 4): (0, "4\n2\n3\n0\n5\n3\n10\n0\n10\n8\n7\n"),
+    ("union", "ran", 4): (0, "4\n2\n0\n4\n2\n4\n0\n8\n10\n8\n6\n"),
     ("union3", "det", 2): (1, "td > 2\n"),
     ("union3", "det", 3): (0, "3\n0\n1\n1\n1\n0\n7\n5\n7\n0\n9\n10\n"),
     ("union3", "ran", 2): (1, "td > 2\n"),
-    ("union3", "ran", 3): (0, "3\n0\n1\n1\n1\n0\n7\n5\n7\n0\n11\n9\n"),
+    ("union3", "ran", 3): (0, "3\n0\n1\n1\n1\n6\n7\n0\n7\n10\n11\n0\n"),
 }
 
 

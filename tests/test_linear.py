@@ -18,6 +18,7 @@ from tdsolve.linear import (
     LinearConfig,
     choose_modulus,
     color_count,
+    colorcoding_root_finder,
     construct_linear,
     determine_exact_depth,
     _class_counts,
@@ -35,6 +36,7 @@ from tdsolve.oracle import (
     disjoint_union,
     empty_graph,
     path,
+    random_graph,
     random_tree,
 )
 from tdsolve.polyring import ExactRing, ModularRing
@@ -45,6 +47,12 @@ CFG = LinearConfig()
 
 def ctx_for(g, d, seed=0):
     return new_run_context(g.n, d, CFG, random.Random(seed))
+
+
+def descend_randomized(g, d, seed):
+    """The reduction descent with the color-coding finder, which
+    solve_randomized skips when the centroid forest is at most d+1 deep."""
+    return construct.descend(g, d, colorcoding_root_finder(ctx_for(g, d, seed)))
 
 
 def test_choose_modulus_prime_case():
@@ -201,7 +209,7 @@ def test_solve_counts_over_the_shallower_forest(monkeypatch):
     monkeypatch.setattr(construct, "lift_simplicial", recording(construct.lift_simplicial))
     monkeypatch.setattr(construct, "build_forest", fake_build)
     for g, d in [(path(15), 4), (random_tree(12, 7), 3), (complete_bipartite(2, 5), 3)]:
-        assert solve_randomized(g, d, CFG, random.Random(3)) is not None
+        assert descend_randomized(g, d, 3) is not None
     swapped = 0
     for g, t, cand in built:
         c = centroid_forest(g)
@@ -233,7 +241,7 @@ def test_simplicial_level_builds_the_improved_graph_once(monkeypatch):
     monkeypatch.setattr(construct, "bodlaender_step", step)
     monkeypatch.setattr(graph, "improved_graph", improve)
     g = disjoint_union(path(2), path(2), path(2))
-    f = solve_randomized(g, 2, CFG, random.Random(0))
+    f = descend_randomized(g, 2, 0)
     assert kinds == ["matching", "simplicial"]
     assert len(builds) == len(kinds)
     assert f is not None and validate_elimination_forest(g, f, 2)
@@ -275,7 +283,7 @@ def test_star_like_graphs_reduce_in_few_levels(monkeypatch, name, g, d, levels):
 
     real_step = construct.bodlaender_step
     monkeypatch.setattr(construct, "bodlaender_step", step)
-    f = solve_randomized(g, d, CFG, random.Random(1))
+    f = descend_randomized(g, d, 1)
     assert f is not None and validate_elimination_forest(g, f, d)
     assert len(kinds) == levels
 
@@ -283,7 +291,10 @@ def test_star_like_graphs_reduce_in_few_levels(monkeypatch, name, g, d, levels):
 def test_descent_is_not_bounded_by_the_recursion_limit(monkeypatch):
     # contracting one pair per level gives a star on 80 vertices 79 levels,
     # far more than the 40 frames left above this test
+    levels = []
+
     def one_pair(g, d):
+        levels.append(g.n)
         return BodlaenderOutcome("matching", matching=greedy_maximal_matching(g)[:1])
 
     monkeypatch.setattr(construct, "bodlaender_step", one_pair)
@@ -294,10 +305,62 @@ def test_descent_is_not_bounded_by_the_recursion_limit(monkeypatch):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 40)
     try:
-        f = solve_randomized(g, 2, CFG, random.Random(0))
+        f = descend_randomized(g, 2, 0)
     finally:
         sys.setrecursionlimit(limit)
     assert f is not None and validate_elimination_forest(g, f, 2)
+    assert len(levels) == 79
+
+
+def record_steps(monkeypatch):
+    """The vertex count of every graph the reduction descent steps on."""
+    steps = []
+    real_step = construct.bodlaender_step
+
+    def recording(g, d):
+        steps.append(g.n)
+        return real_step(g, d)
+
+    monkeypatch.setattr(construct, "bodlaender_step", recording)
+    return steps
+
+
+def test_randomized_solver_skips_the_descent_over_a_shallow_centroid_forest(monkeypatch):
+    steps = record_steps(monkeypatch)
+    for g, d in [(path(23), 5), (cycle(6), 4)]:
+        assert centroid_forest(g).max_depth <= d + 1
+        f = solve_randomized(g, d, CFG, random.Random(0))
+        assert f is not None and validate_elimination_forest(g, f, d)
+    assert not steps
+
+
+def test_randomized_solver_descends_past_a_deep_centroid_forest(monkeypatch):
+    steps = record_steps(monkeypatch)
+    g = random_graph(6, 7, 35)
+    assert brute_td(g) == 3 and centroid_forest(g).max_depth == 5
+    f = solve_randomized(g, 3, CFG, random.Random(0))
+    assert steps
+    assert f is not None and f.max_depth <= 3 and validate_elimination_forest(g, f, 3)
+
+
+def test_randomized_verdicts_match_the_oracle_on_both_sides_of_the_guard(monkeypatch):
+    steps = record_steps(monkeypatch)
+    rng = random.Random(11)
+    guarded = descended = 0
+    for g in connected_graphs_up_to(6):
+        td = brute_td(g)
+        for d in range(1, 6):
+            steps.clear()
+            f = solve_randomized(g, d, CFG, rng)
+            assert (f is not None) == (td <= d), (g, d)
+            if f is not None:
+                assert validate_elimination_forest(g, f, d)
+            if centroid_forest(g).max_depth <= d + 1:
+                assert not steps
+                guarded += 1
+            elif steps:
+                descended += 1
+    assert guarded and descended
 
 
 def record_finder_counts(monkeypatch):

@@ -12,7 +12,7 @@ import sys
 
 import tdsolve
 from tdsolve import cli
-from tdsolve.oracle import path
+from tdsolve.oracle import path, random_graph
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 import tracing  # noqa: E402
@@ -35,14 +35,20 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
+def _write_graph(tmp_path, name, g):
+    return _write(tmp_path, name, f"p tdp {g.n} {g.m}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in g.edges()))
+
+
 def test_traced_cli_runs_fill_the_layer_metrics(tmp_path, capsys):
-    g = path(7)
-    gfile = _write(tmp_path, "p7.gr", f"p tdp {g.n} {g.m}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in g.edges()))
+    gfile = _write_graph(tmp_path, "p7.gr", path(7))
+    # td 3, but its centroid forest is 5 deep, so the randomized solver
+    # takes the reduction descent
+    rfile = _write_graph(tmp_path, "rg6.gr", random_graph(6, 7, 35))
     # the path with its middle vertex on top, then the middles of each half
     ffile = _write(tmp_path, "p7.tree", "3\n" + "\n".join(map(str, [2, 4, 2, 0, 6, 4, 6])) + "\n")
     runs = {
         "deterministic": [gfile, "--max-depth", "3", "--mode", "deterministic"],
-        "randomized": [gfile, "--max-depth", "3", "--mode", "randomized", "--seed", "1"],
+        "randomized": [rfile, "--max-depth", "3", "--mode", "randomized", "--seed", "1"],
         "validate": [gfile, "--max-depth", "3", "--validate", ffile],
     }
     tracer = tracing.Tracer()
