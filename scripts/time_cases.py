@@ -26,6 +26,9 @@ cases need a tree whose oracle has that generator):
   rand-cycle12-d5     solve_randomized(cycle(12), 5)
   rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible: decided by
                       the structural filter's DFS cycle term
+  rand-path20k-d6     solve_randomized(path(20000), 6), infeasible: decided by
+                      the structural filter's DFS, which stops once its
+                      stack holds 2^6 vertices
   rand-star200-d2     solve_randomized(complete_bipartite(1, 199), 2)
   rand-k2x200-d3      solve_randomized(complete_bipartite(2, 200), 3)
   rand-bounded800-d3  solve_randomized(bounded(800, 3, 1), 3)
@@ -65,6 +68,7 @@ CASES = {
     "rand-path23-d5": ("randomized", "path", (23,), 5),
     "rand-cycle12-d5": ("randomized", "cycle", (12,), 5),
     "rand-cycle12-d4": ("randomized", "cycle", (12,), 4),
+    "rand-path20k-d6": ("randomized", "path", (20000,), 6),
     "rand-star200-d2": ("randomized", "complete_bipartite", (1, 199), 2),
     "rand-k2x200-d3": ("randomized", "complete_bipartite", (2, 200), 3),
     "rand-bounded800-d3": ("randomized", "bounded", (800, 3, 1), 3),

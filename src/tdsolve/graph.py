@@ -146,10 +146,11 @@ def dfs_elimination_forest(g: Graph):
     return RootedForest(_dfs(g)[0])
 
 
-def _dfs(g: Graph, first: int = 0) -> tuple[list[int], int]:
+def _dfs(g: Graph, first: int = 0, cap: int = 0) -> tuple[list[int], int]:
     """The parent array of a DFS forest and its depth, the deepest the DFS
     stack gets.  Searches start at each unvisited vertex in ascending order
     from first, wrapping around to 0; first=0 gives dfs_elimination_forest.
+    With cap >= 2 it returns (partial parents, cap) once the stack holds cap.
 
     The stack holds plain ints and each vertex keeps a cursor into its
     adjacency list, so a deep search allocates nothing per vertex: per-vertex
@@ -180,6 +181,8 @@ def _dfs(g: Graph, first: int = 0) -> tuple[list[int], int]:
                         continue
                     cursor[u] = j + 1
                     stack.append(w)
+                    if len(stack) == cap:
+                        return parent, cap
                     u, i = w, 0
                     break
             else:
@@ -267,8 +270,9 @@ def treedepth_lower_bound(g: Graph, d: int | None = None) -> int:
     - a greedily grown clique of size c gives td >= c;
     - a DFS back edge that closes a cycle of L vertices with the tree path
       between its ends gives td >= 1 + ceil(log2 L), the depth of C_L.
-    With a budget d, the cycle term is left out when the other two already
-    exceed d: the verdict td > d is then settled.
+    With a budget d, the bound returns as soon as it exceeds d (td > d is
+    then settled): after the clique term, once the DFS stack holds 2^d
+    vertices, or before the cycle term.
 
     Every call computes the bound and records it on g for
     recorded_lower_bound.  Not reading the record here keeps a repeated
@@ -289,13 +293,8 @@ def _lower_bound(g: Graph, d: int | None) -> int:
     if g.n == 0:
         return 0
     degrees = list(map(len, g.adj))
-    # from a vertex of least degree, so a path is searched from one end
-    parent, dfs_depth = _dfs(g, degrees.index(min(degrees)))
-    bound = (dfs_depth + 1).bit_length() - 1
-    if (1 << bound) < dfs_depth + 1:
-        bound += 1
-    seeds = nlargest(8, range(g.n), key=degrees.__getitem__)
-    for s in seeds:
+    bound = 1
+    for s in nlargest(8, range(g.n), key=degrees.__getitem__):
         size = 1
         common = set(g.adj[s])
         while common:
@@ -303,9 +302,16 @@ def _lower_bound(g: Graph, d: int | None) -> int:
             size += 1
             common.intersection_update(g.adj[v])
         bound = max(bound, size)
+    if d is not None and bound > d:
+        return bound
+    # from a vertex of least degree, so a path is searched from one end; a
+    # chain of D vertices gives ceil(log2(D+1)) = bitlen(D), above d at 2^d
+    cap = 0 if d is None else 1 << min(d, g.n.bit_length())  # 2^bitlen(n) > n: never met
+    parent, dfs_depth = _dfs(g, degrees.index(min(degrees)), cap)
+    bound = max(bound, dfs_depth.bit_length())
     if d is None or bound <= d:
         bound = max(bound, _cycle_bound(g.adj, parent))
-    return max(bound, 1)
+    return bound
 
 
 def _cycle_bound(adj: list[list[int]], parent: list[int]) -> int:

@@ -1,12 +1,13 @@
 """Randomized solver: construct.build_guided (the centroid forest when it is
 at most d+1 deep, else the reduction descent) with a color-coding root
-finder, counting modulo one globally sampled prime (exact below log2 n).
+finder, counting modulo one globally sampled prime (exact below log2 n, and
+throughout a run whose counts all stay below the prime's interval).
 
 Infeasible verdicts (None) are sound when they come from the structural
-filter (edge count, path, clique or cycle bound) or the exact small case;
-a verdict that went through the large-prime ring can be a false negative
-with small probability.  Returned forests are always validated, so false
-positives are impossible.
+filter (edge count, path, clique or cycle bound) or a zero exact count; one
+from the large-prime ring or from colorings that all missed can be a false
+negative with small probability.  Returned forests are always validated,
+so false positives are impossible.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ class LinearConfig(NamedTuple):
 
 
 class RunContext:
-    """Per-run state: the original vertex count, the one sampled prime, the
-    randomness, and two counters for experiments."""
+    """Per-run state: the original vertex count, the one sampled prime (None
+    when the run needs none), the randomness, and two counters for experiments."""
 
-    def __init__(self, n_top: int, prime: int, rng: random.Random):
+    def __init__(self, n_top: int, prime: int | None, rng: random.Random):
         self.n_top = n_top
         self.prime = prime
         self.rng = rng
@@ -66,17 +67,25 @@ class RunContext:
 
 
 def new_run_context(n: int, d: int, cfg: LinearConfig, rng: random.Random) -> RunContext:
-    prime = sample_prime(cfg.prime_bound(max(n, 1), d), rng)
-    return RunContext(max(n, 1), prime, rng)
+    """The run's context; a prime from (A, 2A), A = cfg.prime_bound, is drawn
+    only when some count could reach A.  Every count of the run (_class_counts,
+    determine_exact_depth, fits) is at most n^n < 2^(n * bitlen(n)), so below
+    A reducing it mod p is the identity, and _recover_index agrees with exact
+    division (x * den = num mod p with x <= n would hold outright)."""
+    n = max(n, 1)
+    bound = cfg.prime_bound(n, d)
+    prime = sample_prime(bound, rng) if n * n.bit_length() >= bound.bit_length() else None
+    return RunContext(n, prime, rng)
 
 
-def choose_modulus(r: int, n: int, sampled_prime: int) -> ExactRing:
+def choose_modulus(r: int, n: int, sampled_prime: int | None) -> ExactRing:
     """Ring policy: large subproblems (r >= log2 n) hash with the global
-    prime; small ones count in exact integers, so their verdicts are certain
-    and division is plain integer division."""
+    prime; small ones, and all when the run drew none (sampled_prime None),
+    count in exact integers, so their verdicts are certain and division is
+    plain integer division."""
     if r < 1:
         raise ValueError("subproblem must be nonempty")
-    if (1 << r) >= n:
+    if sampled_prime is not None and (1 << r) >= n:
         return ModularRing(sampled_prime, prime=True)
     return ExactRing()
 

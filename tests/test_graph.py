@@ -414,6 +414,35 @@ def test_cycle_term_runs_only_while_the_budget_is_open():
     assert recorded_lower_bound(g) == 5
 
 
+def test_budgeted_bound_stops_early_with_the_unbudgeted_verdict():
+    # a budget only cuts the work once td > d is settled: the verdict is
+    # that of the full bound, and a graph that passes records the full bound
+    rng = random.Random(7)
+    graphs = list(connected_graphs_up_to(6))
+    for seed in range(150):
+        extra = random_graph(7, rng.randrange(0, 15), seed)
+        graphs.append(Graph.from_edges(7, edge_set(random_tree(7, seed)) | edge_set(extra)))
+    cases = [(g, range(8)) for g in graphs]
+    cases += [(shape(n), range(1, 10)) for n in range(3, 301) for shape in (path, cycle)]
+    for g, budgets in cases:
+        full = treedepth_lower_bound(g)
+        for d in budgets:
+            bound = treedepth_lower_bound(g, d)
+            assert (bound > d) == (full > d), (list(g.edges()), d)
+            if full <= d:
+                assert bound == full
+
+
+def test_capped_dfs_stops_at_two_to_the_budget():
+    g = path(20000)
+    parent, deepest = _dfs(g, 0, 1 << 6)
+    assert deepest == 1 << 6 and sum(p >= 0 for p in parent) < 1 << 6
+    assert treedepth_lower_bound(g, 6) == 7 and treedepth_lower_bound(g) == 15
+    # a cap the search never reaches changes nothing
+    for g in [cycle(30), random_graph(40, 80, 2), random_tree(50, 3)]:
+        assert _dfs(g, 0, _dfs(g)[1] + 1) == _dfs(g)
+
+
 def test_recorded_lower_bound_matches_fresh_computation():
     for seed in range(30):
         n = 3 + seed % 10
