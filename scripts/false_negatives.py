@@ -9,11 +9,8 @@ on the spot, so a nonzero false-positive count would abort immediately.
 Usage: python scripts/false_negatives.py [--instances 200] [--seeds 50] [--depths 2,3]
 
 --depths lists the budgets (each instance's treedepth) the corpus keeps.
-Instances have at most 10 vertices, so their counts stay below the prime's
-interval and no prime is drawn, except at d = 2 on 9 or 10 vertices: a false
-negative here is almost always one of color coding, not of the modulus.  (At
-d >= 4 the interval's bound is also capped at LinearConfig.word_cap, below
-the bound the analysis asks for.)
+The solver counts in exact integers and draws no prime, so every false
+negative is one of color coding.
 """
 
 import argparse

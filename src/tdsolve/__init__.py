@@ -3,7 +3,7 @@
 Given a graph and a depth budget d, either construct an elimination forest
 of depth at most d or report that the treedepth exceeds d — deterministically
 via an exact counting root scan, or with a randomized linear-time pipeline
-(modular counting, color-coding root recovery).  Both are guided by the
+(exact counting, color-coding root recovery).  Both are guided by the
 centroid forest, or by the reduction descent when that forest is more than
 d+1 deep, and split a disconnected graph into its components inside the
 shared construction driver.

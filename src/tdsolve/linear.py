@@ -1,13 +1,17 @@
 """Randomized solver: construct.build_guided (the centroid forest when it is
 at most d+1 deep, else the reduction descent) with a color-coding root
-finder, counting modulo one globally sampled prime (exact below log2 n, and
-throughout a run whose counts all stay below the prime's interval).
+finder, counting in exact integers.
 
-Infeasible verdicts (None) are sound when they come from the structural
-filter (edge count, path, clique or cycle bound) or a zero exact count; one
-from the large-prime ring or from colorings that all missed can be a false
-negative with small probability.  Returned forests are always validated,
-so false positives are impossible.
+The paper counts modulo a random prime p from (A, 2A) to keep its numbers
+small.  The counting kernel here computes every count in exact integers and
+could only reduce it at the end, so a prime would save no work: it would
+cost a draw and add a false negative whenever p divides a nonzero count.
+No prime is drawn.
+
+Infeasible verdicts (None) are certain when they come from the structural
+filter (edge count, path, clique or cycle bound) or a zero count; one from
+colorings that all missed can be a false negative with small probability.
+Returned forests are always validated, so false positives are impossible.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .construct import build_guided, build_over_shallower, fits
 from .counting import count_elim_trees
 from .forest import RootedForest, remove_vertex, validate_elimination_forest
 from .graph import Graph, minus_vertex, recorded_lower_bound, structurally_infeasible
-from .polyring import ExactRing, ModularRing, mod_inverse, sample_prime
+from .polyring import ExactRing
 
 
 # Color coding draws up to MAX_COLORING_RETRIES colorings per color count;
@@ -35,11 +39,13 @@ def color_count(n: int, d: int) -> int:
 
 
 class LinearConfig(NamedTuple):
-    """The prime policy, the one tunable the analysis leaves open.
+    """The paper's prime policy, the one tunable its analysis leaves open.
+    The solver counts exactly and draws no prime; prime_bound is the nominal
+    bound a modular count would need.
 
-    error_exponent scales the sampled prime (error probability falls
-    exponentially in it); prime_lower_threshold is the least interval bound
-    and word_cap the greatest.
+    error_exponent scales the prime (error probability falls exponentially
+    in it); prime_lower_threshold is the least interval bound and word_cap
+    the greatest.
     """
 
     error_exponent: int = 1
@@ -55,42 +61,22 @@ class LinearConfig(NamedTuple):
 
 
 class RunContext:
-    """Per-run state: the original vertex count, the one sampled prime (None
-    when the run needs none), the randomness, and two counters for experiments."""
+    """Per-run state: the randomness and two counters for experiments."""
 
-    def __init__(self, n_top: int, prime: int | None, rng: random.Random):
-        self.n_top = n_top
-        self.prime = prime
+    def __init__(self, rng: random.Random):
         self.rng = rng
         self.colorings_tried = 0
         self.roots_found = 0
 
 
 def new_run_context(n: int, d: int, cfg: LinearConfig, rng: random.Random) -> RunContext:
-    """The run's context; a prime from (A, 2A), A = cfg.prime_bound, is drawn
-    only when some count could reach A.  Every count of the run (_class_counts,
-    determine_exact_depth, fits) is at most n^n < 2^(n * bitlen(n)), so below
-    A reducing it mod p is the identity, and _recover_index agrees with exact
-    division (x * den = num mod p with x <= n would hold outright)."""
-    n = max(n, 1)
-    bound = cfg.prime_bound(n, d)
-    prime = sample_prime(bound, rng) if n * n.bit_length() >= bound.bit_length() else None
-    return RunContext(n, prime, rng)
+    """The run's context.  n, d and cfg give the nominal prime bound
+    cfg.prime_bound(n, d), which perfbench/tracing.py reports; no prime is
+    drawn."""
+    return RunContext(rng)
 
 
-def choose_modulus(r: int, n: int, sampled_prime: int | None) -> ExactRing:
-    """Ring policy: large subproblems (r >= log2 n) hash with the global
-    prime; small ones, and all when the run drew none (sampled_prime None),
-    count in exact integers, so their verdicts are certain and division is
-    plain integer division."""
-    if r < 1:
-        raise ValueError("subproblem must be nonempty")
-    if sampled_prime is not None and (1 << r) >= n:
-        return ModularRing(sampled_prime, prime=True)
-    return ExactRing()
-
-
-def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ExactRing) -> int | None:
+def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ExactRing | None = None) -> int | None:
     """The smallest budget below d with a tree count nonzero in ring, else
     d, or None when the structural lower bound exceeds d.  Budget d itself is
     not counted: the color-coding finder gets that count from the packed
@@ -98,6 +84,7 @@ def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ExactRing) ->
 
     The scan starts at the lower bound the structural filter recorded on g
     (computed when there is none): counts below it are zero with certainty."""
+    ring = ring or ExactRing()
     start = max(recorded_lower_bound(g), 1)
     if start > d:
         return None
@@ -107,14 +94,10 @@ def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ExactRing) ->
     return d
 
 
-def _recover_index(num: int, den: int, ring: ExactRing) -> int | None:
+def _recover_index(num: int, den: int) -> int | None:
     """The weighted/unweighted count ratio as a 1-based index, or None when
     the division fails (zero or non-integral denominator)."""
-    if den == 0:
-        return None
-    if ring.modulus is not None:
-        return num * mod_inverse(den, ring) % ring.modulus
-    if num % den != 0:
+    if den == 0 or num % den != 0:
         return None
     return num // den
 
@@ -173,8 +156,6 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
     if n == 1:
         return 0
     rng = ctx.rng
-    ring = choose_modulus(n, ctx.n_top, ctx.prime)
-    ring_v = choose_modulus(n - 1, ctx.n_top, ctx.prime)  # every g-v has n-1 vertices
     colors = color_count(n, d)
     for _ in range(MAX_COLOR_DOUBLINGS + 1):
         for _ in range(MAX_COLORING_RETRIES):
@@ -186,16 +167,16 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
             for c, members in sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0])):
                 v = members[0]
                 if len(members) > 1:
-                    total, den, num = _class_counts(g, t, d, ring, members)
-                    if ring.is_zero(total):
+                    total, den, num = _class_counts(g, t, d, ExactRing(), members)
+                    if total == 0:
                         return None
-                    one_based = _recover_index(num, den, ring)
+                    one_based = _recover_index(num, den)
                     if one_based is None or not 1 <= one_based <= n or coloring[one_based - 1] != c:
                         continue
                     v = one_based - 1
                 # certify through g-v at d-1 as the exact scan does; a failure
-                # means a wrong candidate or an unlucky prime
-                if fits(minus_vertex(g, v), lambda: remove_vertex(t, v), d - 1, ring_v):
+                # means a wrong candidate
+                if fits(minus_vertex(g, v), lambda: remove_vertex(t, v), d - 1):
                     ctx.roots_found += 1
                     return v
         if colors >= n:
@@ -212,7 +193,7 @@ def colorcoding_root_finder(ctx: RunContext):
     two or more carries it."""
 
     def find_root(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
-        dstar = determine_exact_depth(g, t, d, choose_modulus(g.n, ctx.n_top, ctx.prime))
+        dstar = determine_exact_depth(g, t, d)
         if dstar is None:
             return None
         root = find_root_colorcoding(g, t, dstar, ctx)
@@ -230,7 +211,7 @@ def construct_linear(
 ) -> RootedForest | None:
     """Turn an auxiliary elimination forest of depth at most 2d into one of
     depth at most d, or report the budget infeasible (possibly a false
-    negative under the large-prime ring).  The counts run over the shallower
+    negative of color coding).  The counts run over the shallower
     of t and the centroid forest of g."""
     ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))
     return build_over_shallower(g, t, d, colorcoding_root_finder(ctx))
@@ -242,15 +223,13 @@ def solve_randomized(
     cfg: LinearConfig | None = None,
     rng: random.Random | None = None,
 ) -> RootedForest | None:
-    """Full randomized pipeline: the structural filter, the prime draw, then
+    """Full randomized pipeline: the structural filter, then
     construct.build_guided with the color-coding finder, which counts over
     the centroid forest when it is at most d+1 deep and runs the reduction
-    descent otherwise.  Never returns an invalid forest; None may be a false
-    negative (probability bounded by the modulus analysis)."""
+    descent otherwise.  Never returns an invalid forest; None after a count
+    may be a false negative of color coding."""
     if g.n == 0:
         return RootedForest([])
-    # structural rejections need no randomness, so they come before the
-    # one-time prime draw
     if d < 1 or structurally_infeasible(g, d):
         return None
     ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))

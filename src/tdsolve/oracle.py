@@ -1,7 +1,8 @@
 """Test-only ground truth: brute-force treedepth, the sensibility test with
 its forest helpers (parent arrays, ancestry, tails), exhaustive enumeration
-of sensible bounded-depth elimination trees, instance generators, and a
-small isomorphism-free catalog of connected graphs.
+of sensible bounded-depth elimination trees, the paper's modular ring
+policy, instance generators, and a small isomorphism-free catalog of
+connected graphs.
 
 The brute-force routines deliberately trade space for simplicity (subset
 memoization); they are capped at sizes where that is harmless.
@@ -14,6 +15,7 @@ from itertools import permutations
 
 from .forest import RootedForest
 from .graph import Graph
+from .polyring import ExactRing, ModularRing
 
 _BRUTE_TD_CAP = 20
 _BRUTE_COUNT_CAP = 7
@@ -213,6 +215,18 @@ def brute_count_sensible(g: Graph, t: RootedForest, d: int) -> int:
     """Number of elimination trees of g of depth <= d that pass the
     sensibility test against t."""
     return sum(1 for f in all_elimination_trees(g, d) if check_sensible(g, t, f))
+
+
+def choose_modulus(r: int, n: int, sampled_prime: int) -> ExactRing:
+    """The paper's ring policy for an r-vertex subproblem of an n-vertex
+    run: large ones (r >= log2 n) count modulo the run's prime, small ones
+    in exact integers, so their verdicts are certain.  The solvers count
+    every subproblem exactly."""
+    if r < 1:
+        raise ValueError("subproblem must be nonempty")
+    if (1 << r) >= n:
+        return ModularRing(sampled_prime, prime=True)
+    return ExactRing()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from tdsolve.graph import (
 )
 from tdsolve.linear import (
     LinearConfig,
-    choose_modulus,
     color_count,
     colorcoding_root_finder,
     construct_linear,
@@ -29,6 +28,7 @@ from tdsolve.linear import (
 from tdsolve.oracle import (
     brute_td,
     candidate_roots,
+    choose_modulus,
     clique,
     complete_bipartite,
     connected_graphs_up_to,
@@ -39,7 +39,7 @@ from tdsolve.oracle import (
     random_graph,
     random_tree,
 )
-from tdsolve.polyring import ExactRing, ModularRing, sample_prime
+from tdsolve.polyring import ExactRing, ModularRing
 
 
 CFG = LinearConfig()
@@ -61,8 +61,7 @@ def test_choose_modulus_prime_case():
 
 
 def test_choose_modulus_ring_policy():
-    # exact integers below 2^r >= n, the sampled prime from there on; exact
-    # throughout when the run drew no prime
+    # exact integers below 2^r >= n, the sampled prime from there on
     for n, r_prime in [(2, 1), (3, 2), (256, 8), (257, 9), (10**6, 20)]:
         for r in range(1, r_prime):
             ring = choose_modulus(r, n, sampled_prime=10007)
@@ -70,8 +69,6 @@ def test_choose_modulus_ring_policy():
         for r in (r_prime, r_prime + 1):
             ring = choose_modulus(r, n, sampled_prime=10007)
             assert ring.modulus == 10007 and ring.prime
-        for r in range(1, r_prime + 2):
-            assert type(choose_modulus(r, n, None)) is ExactRing
     with pytest.raises(ValueError):
         choose_modulus(0, 5, sampled_prime=10007)
 
@@ -91,41 +88,28 @@ def test_choose_modulus_single_vertex_prime_case():
     assert choose_modulus(1, 3, sampled_prime=13).modulus is None
 
 
-@pytest.mark.parametrize("g, d, draws", [
-    (cycle(6), 4, 0),
-    (random_tree(12, 7), 3, 0),
-    (path(23), 5, 1),  # 23 * bitlen(23) = 115 >= bitlen(2^62)
-    (complete_bipartite(1, 11), 2, 1),  # 12 * 4 = 48 >= bitlen(12^5 * 2^20) = 38
+@pytest.mark.parametrize("g, d", [
+    (cycle(6), 4),
+    (random_tree(12, 7), 3),
+    (path(23), 5),
+    (complete_bipartite(1, 11), 2),
 ], ids=["cycle6-d4", "tree12-d3", "path23-d5", "star12-d2"])
-def test_prime_drawn_only_when_a_count_could_reach_its_interval(monkeypatch, g, d, draws):
-    bounds = []
-    real = linear.sample_prime
+def test_randomized_solver_counts_in_exact_integers(monkeypatch, g, d):
+    # path(23) and star(12) have counts that could reach the nominal prime
+    # bound; they are counted exactly all the same
+    rings = []
 
-    def counting(bound, rng):
-        bounds.append(bound)
-        return real(bound, rng)
+    def recording(count):
+        def wrapped(*args, **kwargs):
+            rings.append(args[3] if len(args) > 3 else kwargs.get("ring"))
+            return count(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(linear, "sample_prime", counting)
+    monkeypatch.setattr(linear, "count_elim_trees", recording(linear.count_elim_trees))
+    monkeypatch.setattr(construct, "count_elim_forests", recording(construct.count_elim_forests))
     f = solve_randomized(g, d, CFG, random.Random(0))
     assert f is not None and validate_elimination_forest(g, f, d)
-    assert len(bounds) == draws
-
-
-def test_finder_without_a_prime_matches_the_prime_ring():
-    # every count of a graph of n <= 6 vertices is at most n^n, below the
-    # prime's interval, so the modular ring reduces nothing and the finder
-    # takes the same path through the same rng stream
-    for g in connected_graphs_up_to(6):
-        for d in range(1, g.n + 1):
-            forests = [f for f in (centroid_forest(g), dfs_elimination_forest(g)) if f.max_depth <= 2 * d]
-            for t in forests:
-                for seed in range(3):
-                    prime = sample_prime(CFG.prime_bound(g.n, d), random.Random(seed))
-                    with_prime = linear.RunContext(g.n, prime, random.Random(seed))
-                    without = linear.RunContext(g.n, None, random.Random(seed))
-                    root = find_root_colorcoding(g, t, d, with_prime)
-                    assert root == find_root_colorcoding(g, t, d, without), (list(g.edges()), d, seed)
-                    assert with_prime.colorings_tried == without.colorings_tried
+    assert rings and all(r is None or r.modulus is None for r in rings)
 
 
 def test_determine_exact_depth_examples():
@@ -488,11 +472,10 @@ def test_six_cycle_refuted_at_three_before_any_count_or_prime(monkeypatch):
     # the DFS of C6 closes all six vertices with one back edge, so
     # td(C6) = 4 > 3 follows from the structural filter alone
     def refuse(*args, **kwargs):
-        raise AssertionError("counted or drew a prime for a structural verdict")
+        raise AssertionError("counted for a structural verdict")
 
     monkeypatch.setattr(counting, "count_elim_trees", refuse)
     monkeypatch.setattr(linear, "count_elim_trees", refuse)
-    monkeypatch.setattr(linear, "sample_prime", refuse)
     g = cycle(6)
     assert solve_deterministic(g, 3) is None
     assert solve_randomized(g, 3, CFG, random.Random(0)) is None
