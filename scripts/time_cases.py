@@ -14,14 +14,14 @@ colour draws can make a randomized solve many times slower than another's),
 and the depth of the forest found ("none" for an infeasible verdict); a
 validation case shows the depth of the forest it checked, or "none" when the
 check fails, the contraction case the number of levels it contracted, the
-split case the number of components it found, and the parse case the number
-of edges it read.
+split case the number of components it found, the graph parse case the
+number of edges it read and the forest parse case the depth it read.
 
 Cases (randomized solves use random.Random(seed) for each seed; the
 validation case checks the chain forest 0 -> 1 -> ... -> 3999, the split
-case splits along the DFS forest of its graph, and the parse case reads the
-PACE text of its graph, all built before the clock starts; the bounded
-cases need a tree whose oracle has that generator):
+case splits along the DFS forest of its graph, and the parse cases read the
+PACE text of their graph or forest, all built before the clock starts; the
+bounded cases need a tree whose oracle has that generator):
   rand-path23-d5      solve_randomized(path(23), 5)
   rand-cycle12-d5     solve_randomized(cycle(12), 5)
   rand-cycle12-d4     solve_randomized(cycle(12), 4), infeasible: decided by
@@ -53,6 +53,8 @@ cases need a tree whose oracle has that generator):
                       g = random_graph(5000, 4000, 1)
   parse-pace-rg20k    parse_pace_graph on the PACE text of
                       random_graph(19500, 78000, 1)
+  parse-forest-20k    parse_pace_forest on the PACE text of the DFS forest
+                      of random_graph(19500, 78000, 1)
 """
 
 import argparse
@@ -83,6 +85,7 @@ CASES = {
     "contract-rg5000": ("contract", "random_graph", (5000, 15000, 1), None),
     "split-rg5000": ("split", "random_graph", (5000, 4000, 1), None),
     "parse-pace-rg20k": ("parse", "random_graph", (19500, 78000, 1), None),
+    "parse-forest-20k": ("parse-forest", "random_graph", (19500, 78000, 1), None),
 }
 
 
@@ -93,7 +96,7 @@ def child(src: str, name: str, seed: int) -> None:
 
     sys.path.insert(0, os.path.abspath(src))
     from tdsolve import oracle
-    from tdsolve.cli import parse_pace_graph
+    from tdsolve.cli import emit_pace_forest, parse_pace_forest, parse_pace_graph
     from tdsolve.construct import solve_deterministic
     from tdsolve.forest import RootedForest, split_components, validate_elimination_forest
     from tdsolve.graph import contract_matching, dfs_elimination_forest, greedy_maximal_matching
@@ -107,9 +110,13 @@ def child(src: str, name: str, seed: int) -> None:
     t = dfs_elimination_forest(g) if mode == "split" else None
     if mode == "parse":
         text = "".join([f"p tdp {g.n} {g.m}\n"] + [f"{u + 1} {v + 1}\n" for u, v in g.edges()])
+    elif mode == "parse-forest":
+        text = emit_pace_forest(dfs_elimination_forest(g))
     start = time.process_time()
     if mode == "parse":
         depth = parse_pace_graph(text).m
+    elif mode == "parse-forest":
+        depth = parse_pace_forest(text, g.n)[0]
     elif mode == "split":
         depth = len(split_components(g, t))
     elif mode == "contract":

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import random
-import re
 import sys
 
 from .construct import solve_deterministic
@@ -20,11 +19,11 @@ from .graph import Graph, connected_components, dfs_elimination_forest
 from .linear import solve_randomized
 
 
-# A regular graph file: the header, then one line of two decimal endpoints
-# per edge, every line ended by a newline.  A regular solution file has one
-# decimal number per line.
-_REGULAR_GRAPH = re.compile(r"p tdp ([0-9]+) ([0-9]+)\n(?:[0-9]+[ \t]+[0-9]+\n)*")
-_REGULAR_FOREST = re.compile(r"(?:[0-9]+\n)*")
+# A regular graph file is the header `p tdp <n> <m>`, then m lines of two
+# ASCII-decimal endpoints and one space, each line ended by a newline; a
+# regular solution file has one ASCII-decimal number per line.  Comments,
+# blank lines, tabs, runs of spaces, CRs and all else go to the line parsers.
+_DIGITS = b"0123456789"
 
 
 def parse_pace_graph(text: str) -> Graph:
@@ -39,19 +38,31 @@ def parse_pace_graph(text: str) -> Graph:
 
 def _parse_regular_graph(text: str) -> Graph | None:
     """The graph of a regular file whose edges are in range, loop-free,
-    distinct and as many as declared; None for any other text."""
-    hit = _REGULAR_GRAPH.fullmatch(text)
-    if hit is None:
+    distinct and as many as declared; None for any other text.  Never
+    raises: the line parser reports every error."""
+    head, newline, raw = (text.encode() if text.isascii() else b"").partition(b"\n")
+    fields = head.split(b" ")
+    if not (newline and len(fields) == 4 and fields[:2] == [b"p", b"tdp"]
+            and fields[2].isdigit() and fields[3].isdigit()):
         return None
-    n, m = int(hit[1]), int(hit[2])
-    ends = list(map(int, text[hit.end(2) + 1:].split()))
-    if len(ends) != 2 * m or (m and (min(ends) < 1 or max(ends) > n)):
+    try:
+        n, m = int(fields[2]), int(fields[3])
+        # the separators must be m times " \n" (lengths first, so nothing is
+        # sized by the header alone) and end the text: then 2m tokens means
+        # that none is empty
+        seps = raw.translate(None, _DIGITS)
+        if len(seps) != 2 * m or seps != b" \n" * m or raw and not raw.endswith(b"\n"):
+            return None
+        ends = list(map(int, raw.split()))
+        adj = [[] for _ in range(n + 1)]  # indexed 1..n while filling
+        it = iter(ends)
+        for u, v in zip(it, it):
+            adj[u].append(v - 1)
+            adj[v].append(u - 1)
+    except (ValueError, IndexError):  # too many digits for int(); endpoint above n
         return None
-    adj = [[] for _ in range(n + 1)]  # indexed 1..n while filling
-    it = iter(ends)
-    for u, v in zip(it, it):
-        adj[u].append(v - 1)
-        adj[v].append(u - 1)
+    if len(ends) != 2 * m or adj[0]:  # an empty token; an endpoint 0
+        return None
     del adj[0]
     for lst in adj:
         lst.sort()
@@ -108,11 +119,15 @@ def emit_pace_forest(f: RootedForest) -> str:
 
 def parse_pace_forest(text: str, n: int) -> tuple[int, RootedForest]:
     """Solution file: claimed depth, then n parent lines.  A regular file
-    with n+1 numbers, none above n, is read in bulk; any other text, and
-    every malformed one, is left to the line parser."""
-    if _REGULAR_FOREST.fullmatch(text):
-        vals = list(map(int, text.split()))
-        if len(vals) == n + 1 and max(vals) <= n:
+    (n+1 ASCII-decimal numbers, one per line, none above n) is read in bulk;
+    any other text, and every malformed one, is left to the line parser."""
+    raw = text.encode() if text.isascii() else b""
+    if raw.translate(None, _DIGITS) == b"\n" * (n + 1) and raw.endswith(b"\n"):
+        try:
+            vals = list(map(int, raw.split()))
+        except ValueError:  # too many digits for int()
+            vals = []
+        if len(vals) == n + 1 and max(vals) <= n:  # n+1 tokens: none empty
             return vals[0], RootedForest([p - 1 for p in vals[1:]])
     return _parse_forest_lines(text, n)
 

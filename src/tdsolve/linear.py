@@ -54,10 +54,10 @@ class LinearConfig(NamedTuple):
 
     def prime_bound(self, n: int, d: int) -> int:
         """Lower end A of the interval (A, 2A) for the random prime:
-        max(prime_lower_threshold, n^5 * 2^(5 * error_exponent * d^2)),
-        capped at word_cap so the prime fits in two machine words."""
-        raw = max(self.prime_lower_threshold, n**5 * 2 ** (5 * self.error_exponent * d * d))
-        return min(raw, self.word_cap)
+        max(prime_lower_threshold, n^5 * 2^(5 * error_exponent * d^2)), capped at
+        word_cap (two machine words) without forming the uncapped power of two."""
+        shift = min(5 * self.error_exponent * d * d, self.word_cap.bit_length())
+        return min(max(self.prime_lower_threshold, n**5 << shift), self.word_cap)
 
 
 class RunContext:

@@ -124,6 +124,13 @@ IRREGULAR_GRAPHS = [
     "p tdp 3 1 1\n1 2\n",  # five header fields
     "p tdp 3 1\n1 x\n",  # non-decimal endpoint
     "p tdp 3 1\n\u0661 2\n",  # a non-ASCII digit
+    "p tdp 3 1\n" + "1" * 5000 + " 2\n",  # too many digits for int()
+    "p tdp 3 2\n1  2\n2 3\n",  # two spaces
+    "p tdp 3 2\n01 2\n2 3\n",  # a leading zero
+    "p tdp 03 2\n1 2\n2 3\n",  # a leading zero in the header
+    "p tdp 3 2\n1 2\n2 3\n\n",  # blank last line
+    "p tdp 3 2\n1 2\r2 3\n",  # a lone CR
+    "p tdp 3 1000000000000\n1 2\n",  # m far above the text
 ]
 
 
@@ -155,6 +162,9 @@ IRREGULAR_FORESTS = [
     ("2\n2\n1\n", 2),  # a cycle
     ("0\n", 0),
     ("", 0),
+    ("1" * 5000 + "\n0\n", 1),  # too many digits for int()
+    ("2\n2\n0\n2\n\n", 3),  # blank last line
+    ("2\n2\r0\n2\n", 3),  # a lone CR
 ]
 
 
@@ -362,5 +372,14 @@ def test_cli_import_skips_dataclasses():
     # start would pay for
     src = os.path.dirname(os.path.dirname(tdsolve.__file__))
     code = "import sys, tdsolve.cli; sys.exit('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_skips_json():
+    # json.loads converts tokens faster than int(), but importing json costs
+    # a small CLI run more than parsing its file
+    src = os.path.dirname(os.path.dirname(tdsolve.__file__))
+    code = "import sys, tdsolve.cli; sys.exit('json' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,18 @@ def test_sampler_interval_bound_caps_at_word_range():
     cfg = LinearConfig()
     assert cfg.prime_bound(1, 1) == max(21, 32)
     assert cfg.prime_bound(50, 6) == cfg.word_cap
+
+
+def test_prime_bound_matches_the_formula_without_forming_it():
+    for e in range(1, 4):
+        cfg = LinearConfig(error_exponent=e)
+        for n in range(61):
+            for d in range(9):
+                formula = max(cfg.prime_lower_threshold, n**5 * 2 ** (5 * e * d * d))
+                assert cfg.prime_bound(n, d) == min(formula, cfg.word_cap), (n, d, e)
+    start = time.process_time()
+    assert LinearConfig().prime_bound(2, 30000) == LinearConfig().word_cap
+    assert time.process_time() - start < 0.1
 
 
 def twelve_witness_is_prime(n):
