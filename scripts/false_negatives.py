@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from tdsolve.forest import validate_elimination_forest
 from tdsolve.graph import Graph, connected_components
-from tdsolve.linear import LinearConfig, solve_randomized
+from tdsolve.linear import solve_randomized
 from tdsolve.oracle import brute_td, path, random_graph, random_tree
 
 
@@ -59,12 +59,11 @@ def main() -> int:
     args = ap.parse_args()
 
     corpus = build_corpus(args.instances, args.corpus_seed, depths=args.depths)
-    cfg = LinearConfig()
     runs = fails = 0
     t0 = time.perf_counter()
     for seed in range(args.seeds):
         for i, (g, d) in enumerate(corpus):
-            f = solve_randomized(g, d, cfg, random.Random(seed * 100003 + i))
+            f = solve_randomized(g, d, random.Random(seed * 100003 + i))
             runs += 1
             if f is None:
                 fails += 1

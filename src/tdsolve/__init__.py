@@ -13,12 +13,11 @@ from .construct import construct_elim_forest, solve_deterministic
 from .counting import count_elim_forests, count_elim_trees, eval_h
 from .forest import RootedForest, validate_elimination_forest
 from .graph import Graph
-from .linear import LinearConfig, construct_linear, solve_randomized
+from .linear import construct_linear, solve_randomized
 
 __all__ = [
     "Graph",
     "RootedForest",
-    "LinearConfig",
     "construct_elim_forest",
     "construct_linear",
     "count_elim_forests",

@@ -11,10 +11,10 @@ differ only in the finder they pass in.
 
 The exact scan looks only at the graphs g-v: a connected g has depth at most
 d exactly when some g-v has depth at most d-1, so an exhausted scan
-certifies the verdict None (with the exact ring there are no false
-negatives).  Both solvers certify a root through fits, which settles a
-component of g-v by its size or by the structural filter where it can, and
-builds t-v and counts only where neither decides."""
+certifies the verdict None (exact counts give no false negatives).  Both
+solvers certify a root through fits, which settles a component of g-v by its
+size or by the structural filter where it can, and builds t-v and counts
+only where neither decides."""
 
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ from .graph import (
     minus_vertex,
     structurally_infeasible,
 )
-from .polyring import ExactRing
 
 RootFinder = Callable[[Graph, RootedForest, int], tuple[int, int] | None]
 LazyForest = RootedForest | Callable[[], RootedForest]
@@ -141,22 +140,18 @@ def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
     return f
 
 
-def fits(g: Graph, t: LazyForest, d: int, ring: ExactRing | None = None) -> bool:
-    """Whether count_elim_forests(g, t, d, ring) is nonzero in ring.  A
-    component of at most d vertices fits, one that structurally_infeasible
-    rejects does not, and the rest are counted once all have passed the
-    filter; only then is t built (when it is a function) and validated.  A
-    skipped count is positive, so with a modular ring a skip can only
-    replace a residue of 0 by the right answer."""
+def fits(g: Graph, t: LazyForest, d: int) -> bool:
+    """Whether count_elim_forests(g, t, d) is nonzero.  A component of at
+    most d vertices fits, one that structurally_infeasible rejects does not,
+    and the rest are counted once all have passed the filter; only then is
+    t built (when it is a function) and validated."""
     big = [sub for _, sub in labelled_components(g)[2] if sub.n > d]
     if any(structurally_infeasible(sub, d) for sub in big):
         return False
     if not big:
         return True
-    ring = ring or ExactRing()
     parts = split_components(g, t if isinstance(t, RootedForest) else t())
-    return not any(ring.is_zero(count_elim_forests(sub, subt, d, ring))
-                   for _, sub, subt in parts if sub.n > d)
+    return all(count_elim_forests(sub, subt, d) for _, sub, subt in parts if sub.n > d)
 
 
 def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
@@ -172,7 +167,7 @@ def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None
 
 
 def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | None:
-    """Exact-ring self-reduction: an elimination forest of g of depth at most
+    """Exact-count self-reduction: an elimination forest of g of depth at most
     d, or the verdict None, certified by an exhausted root scan.  t is
     validated per counted t-v, not against g as a whole."""
     return build_forest(g, t, d, find_root_exact)
@@ -189,7 +184,7 @@ def build_guided(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None
 
 
 def solve_deterministic(g: Graph, d: int) -> RootedForest | None:
-    """Exact-ring self-reduction of g through build_guided with
+    """Exact-count self-reduction of g through build_guided with
     find_root_exact, whose roots do not depend on the auxiliary forest.  The
     verdict None certifies td(g) > d: the structural filter that may give it
     first is sound, and so is the descent (see descend)."""

@@ -23,7 +23,6 @@ from .construct import build_guided, build_over_shallower, fits
 from .counting import count_elim_trees
 from .forest import RootedForest, remove_vertex, validate_elimination_forest
 from .graph import Graph, minus_vertex, recorded_lower_bound, structurally_infeasible
-from .polyring import ExactRing
 
 
 # Color coding draws up to MAX_COLORING_RETRIES colorings per color count;
@@ -39,25 +38,13 @@ def color_count(n: int, d: int) -> int:
 
 
 class LinearConfig(NamedTuple):
-    """The paper's prime policy, the one tunable its analysis leaves open.
-    The solver counts exactly and draws no prime; prime_bound is the nominal
-    bound a modular count would need.
-
-    error_exponent scales the prime (error probability falls exponentially
-    in it); prime_lower_threshold is the least interval bound and word_cap
-    the greatest.
-    """
+    """The paper's prime policy: the interval (A, 2A) a modular count would
+    draw its prime from has A = max(prime_lower_threshold,
+    n^5 * 2^(5 * error_exponent * d^2)).  The solver counts exactly and
+    draws no prime; perfbench/tracing.py reports this nominal bound."""
 
     error_exponent: int = 1
     prime_lower_threshold: int = 21
-    word_cap: int = 1 << 62
-
-    def prime_bound(self, n: int, d: int) -> int:
-        """Lower end A of the interval (A, 2A) for the random prime:
-        max(prime_lower_threshold, n^5 * 2^(5 * error_exponent * d^2)), capped at
-        word_cap (two machine words) without forming the uncapped power of two."""
-        shift = min(5 * self.error_exponent * d * d, self.word_cap.bit_length())
-        return min(max(self.prime_lower_threshold, n**5 << shift), self.word_cap)
 
 
 class RunContext:
@@ -70,26 +57,24 @@ class RunContext:
 
 
 def new_run_context(n: int, d: int, cfg: LinearConfig, rng: random.Random) -> RunContext:
-    """The run's context.  n, d and cfg give the nominal prime bound
-    cfg.prime_bound(n, d), which perfbench/tracing.py reports; no prime is
-    drawn."""
+    """The run's context.  n, d and cfg give the nominal prime bound, which
+    perfbench/tracing.py reports; no prime is drawn."""
     return RunContext(rng)
 
 
-def determine_exact_depth(g: Graph, t: RootedForest, d: int, ring: ExactRing | None = None) -> int | None:
-    """The smallest budget below d with a tree count nonzero in ring, else
-    d, or None when the structural lower bound exceeds d.  Budget d itself is
-    not counted: the color-coding finder gets that count from the packed
-    count of its first class of two or more.
+def determine_exact_depth(g: Graph, t: RootedForest, d: int) -> int | None:
+    """The smallest budget below d with a nonzero tree count, else d, or
+    None when the structural lower bound exceeds d.  Budget d itself is not
+    counted: the color-coding finder gets that count from the packed count
+    of its first class of two or more.
 
     The scan starts at the lower bound the structural filter recorded on g
     (computed when there is none): counts below it are zero with certainty."""
-    ring = ring or ExactRing()
     start = max(recorded_lower_bound(g), 1)
     if start > d:
         return None
     for dp in range(start, d):
-        if not ring.is_zero(count_elim_trees(g, t, dp, ring)):
+        if count_elim_trees(g, t, dp):
             return dp
     return d
 
@@ -102,13 +87,11 @@ def _recover_index(num: int, den: int) -> int | None:
     return num // den
 
 
-def _class_counts(
-    g: Graph, t: RootedForest, d: int, ring: ExactRing, members: list[int]
-) -> tuple[int, int, int]:
+def _class_counts(g: Graph, t: RootedForest, d: int, members: list[int]) -> tuple[int, int, int]:
     """The plain, indicator and index counts (total, den, num) of a color
-    class of the connected graph g, all normalized in ring: the tree counts
-    weighted by 1 on every vertex, by 1 on each member and 0 elsewhere, and
-    by v + 1 on each member v and 0 elsewhere.
+    class of the connected graph g: the tree counts weighted by 1 on every
+    vertex, by 1 on each member and 0 elsewhere, and by v + 1 on each member
+    v and 0 elsewhere.
 
     The weighted free term is sum_u w(u) * N_u, where N_u counts the sensible
     trees rooted at u.  The kernel multiplies a term by w(u) each time it
@@ -125,8 +108,7 @@ def _class_counts(
     member v also 2^K + (v + 1) * 2^(2K).  The count is then
     total + (den << K) + (num << 2K).  The sensible trees are distinct
     rooted trees on V(g), so den <= total <= n^(n-1) < 2^K by Cayley's
-    formula, and the three fields split apart exactly.  Reducing them in
-    ring gives the residues of three separate ring counts."""
+    formula, and the three fields split apart exactly."""
     n = g.n
     k = (n ** (n - 1)).bit_length() + 1
     packed = [1] * n
@@ -134,7 +116,7 @@ def _class_counts(
         packed[v] = 1 + (1 << k) + ((v + 1) << 2 * k)
     num, low = divmod(count_elim_trees(g, t, d, weights=packed), 1 << 2 * k)
     den, total = divmod(low, 1 << k)
-    return ring.normalize(total), ring.normalize(den), ring.normalize(num)
+    return total, den, num
 
 
 def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> int | None:
@@ -167,7 +149,7 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
             for c, members in sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0])):
                 v = members[0]
                 if len(members) > 1:
-                    total, den, num = _class_counts(g, t, d, ExactRing(), members)
+                    total, den, num = _class_counts(g, t, d, members)
                     if total == 0:
                         return None
                     one_based = _recover_index(num, den)
@@ -203,26 +185,17 @@ def colorcoding_root_finder(ctx: RunContext):
 
 
 def construct_linear(
-    g: Graph,
-    t: RootedForest,
-    d: int,
-    cfg: LinearConfig | None = None,
-    rng: random.Random | None = None,
+    g: Graph, t: RootedForest, d: int, rng: random.Random | None = None
 ) -> RootedForest | None:
     """Turn an auxiliary elimination forest of depth at most 2d into one of
     depth at most d, or report the budget infeasible (possibly a false
     negative of color coding).  The counts run over the shallower
     of t and the centroid forest of g."""
-    ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))
+    ctx = new_run_context(g.n, d, LinearConfig(), rng or random.Random(0))
     return build_over_shallower(g, t, d, colorcoding_root_finder(ctx))
 
 
-def solve_randomized(
-    g: Graph,
-    d: int,
-    cfg: LinearConfig | None = None,
-    rng: random.Random | None = None,
-) -> RootedForest | None:
+def solve_randomized(g: Graph, d: int, rng: random.Random | None = None) -> RootedForest | None:
     """Full randomized pipeline: the structural filter, then
     construct.build_guided with the color-coding finder, which counts over
     the centroid forest when it is at most d+1 deep and runs the reduction
@@ -232,7 +205,7 @@ def solve_randomized(
         return RootedForest([])
     if d < 1 or structurally_infeasible(g, d):
         return None
-    ctx = new_run_context(g.n, d, cfg or LinearConfig(), rng or random.Random(0))
+    ctx = new_run_context(g.n, d, LinearConfig(), rng or random.Random(0))
     f = build_guided(g, d, colorcoding_root_finder(ctx))
     if f is not None and not validate_elimination_forest(g, f, d):
         raise AssertionError("solver produced an invalid forest; this is a bug")

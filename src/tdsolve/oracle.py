@@ -225,7 +225,7 @@ def choose_modulus(r: int, n: int, sampled_prime: int) -> ExactRing:
     if r < 1:
         raise ValueError("subproblem must be nonempty")
     if (1 << r) >= n:
-        return ModularRing(sampled_prime, prime=True)
+        return ModularRing(sampled_prime)
     return ExactRing()
 
 

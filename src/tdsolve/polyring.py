@@ -19,7 +19,6 @@ class ExactRing:
     """Arbitrary-precision integers."""
 
     modulus: int | None = None
-    prime = False
 
     def normalize(self, c: int) -> int:
         return c
@@ -32,34 +31,18 @@ class ExactRing:
 
 
 class ModularRing(ExactRing):
-    """Integers modulo m, canonical representatives in [0, m).
+    """Integers modulo m, canonical representatives in [0, m)."""
 
-    ``prime`` records whether the modulus is known prime; inversion is only
-    available in that case.
-    """
-
-    def __init__(self, m: int, prime: bool = False):
+    def __init__(self, m: int):
         if m < 2:
             raise ValueError("modulus must be at least 2")
         self.modulus = m
-        self.prime = prime
 
     def normalize(self, c: int) -> int:
         return c % self.modulus
 
     def __repr__(self):
-        return f"ModularRing({self.modulus}, prime={self.prime})"
-
-
-def mod_inverse(c: int, ring: ModularRing) -> int:
-    """Inverse of c modulo a prime.  Raises ZeroDivisionError when c vanishes,
-    which callers treat as a failed color / potential false negative."""
-    if not ring.prime:
-        raise ValueError("inversion requires a prime modulus")
-    c = c % ring.modulus
-    if c == 0:
-        raise ZeroDivisionError("denominator vanished in the modular ring")
-    return pow(c, -1, ring.modulus)
+        return f"ModularRing({self.modulus})"
 
 
 # ---------------------------------------------------------------------------

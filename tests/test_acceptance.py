@@ -186,7 +186,7 @@ def test_criterion_03_validation_universality():
         if i % 10 == 0 and g.n <= 10:
             f = solve_deterministic(g, d)
         else:
-            f = solve_randomized(g, d, LinearConfig(), random.Random(rng.randrange(1 << 30)))
+            f = solve_randomized(g, d, random.Random(rng.randrange(1 << 30)))
         if f is not None:
             emitted += 1
             assert validate_elimination_forest(g, f, d), (list(g.edges()), d)
@@ -215,7 +215,7 @@ def test_criterion_05_modular_consistency():
         exact = count_elim_forests(g, t, d, ExactRing())
         for _ in range(20):
             p = sample_prime(10**4, rng)
-            got = count_elim_forests(g, t, d, ModularRing(p, prime=True))
+            got = count_elim_forests(g, t, d, ModularRing(p))
             assert got == exact % p, (list(g.edges()), d, p)
             checked += 1
     print(f"\nACCEPTANCE 5: PASS - modular equals exact mod p on {checked} "
@@ -287,7 +287,7 @@ def test_criterion_08_false_negative_rate():
     t0 = time.perf_counter()
     for seed in range(50):
         for i, (g, d) in enumerate(corpus):
-            f = solve_randomized(g, d, LinearConfig(), random.Random(seed * 100003 + i))
+            f = solve_randomized(g, d, random.Random(seed * 100003 + i))
             runs += 1
             if f is None:
                 fails += 1
@@ -306,14 +306,13 @@ def test_criterion_09_linear_scaling():
 
     d = 8
     batches = 4  # CPU time, min over batches: shields ratios from scheduler/GC noise
-    cfg = LinearConfig()
     t0 = time.perf_counter()
     exps = (10, 11, 12, 13)
     graphs = [path(1 << exp) for exp in exps]
     reps = [50 << (13 - exp) for exp in exps]  # equal planned work per size, far above timer ticks
     rngs = [random.Random(9) for _ in exps]
     for g, rng in zip(graphs, rngs):
-        solve_randomized(g, d, cfg, rng)  # warm caches before timing
+        solve_randomized(g, d, rng)  # warm caches before timing
     gc.collect()
     # every round times every size, so a drift in machine speed during one
     # round moves all sizes alike instead of one ratio
@@ -322,7 +321,7 @@ def test_criterion_09_linear_scaling():
         for i, g in enumerate(graphs):
             start = time.process_time()
             for _ in range(reps[i]):
-                assert solve_randomized(g, d, cfg, rngs[i]) is None  # td = ceil(log2(n+1)) > 8
+                assert solve_randomized(g, d, rngs[i]) is None  # td = ceil(log2(n+1)) > 8
             got = time.process_time() - start
             best[i] = got if best[i] is None else min(best[i], got)
     per_run = [b / r for b, r in zip(best, reps)]

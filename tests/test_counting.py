@@ -125,7 +125,7 @@ def test_modular_matches_exact_mod_p(seed):
     d = rng.randrange(1, 5)
     p = sample_prime(100, rng)
     exact = count_elim_forests(g, t, d, ExactRing())
-    modular = count_elim_forests(g, t, d, ModularRing(p, prime=True))
+    modular = count_elim_forests(g, t, d, ModularRing(p))
     assert modular == exact % p
 
 
@@ -161,7 +161,7 @@ def test_eval_h_single_vertex():
 
 def test_eval_h_free_term_is_the_count():
     p = 3
-    ring = ModularRing(p, prime=True)
+    ring = ModularRing(p)
     for g in connected_graphs_up_to(4):
         t = dfs_elimination_forest(g)
         for d in range(1, 5):
@@ -221,7 +221,7 @@ def test_coefficient_bounds_hold_on_small_runs():
 def test_bound_checking_requires_exact_unweighted():
     g = path(2)
     with pytest.raises(ValueError):
-        count_elim_trees(g, chain(2), 2, ring=ModularRing(7, prime=True), check_bounds=True)
+        count_elim_trees(g, chain(2), 2, ring=ModularRing(7), check_bounds=True)
     with pytest.raises(ValueError):
         count_elim_trees(g, chain(2), 2, weights=[1, 2], check_bounds=True)
 
@@ -302,7 +302,7 @@ PINNED_EVAL_H = [
 def test_eval_h_pinned(label, n, edges, parents, d, mode, expected):
     g = Graph.from_edges(n, edges)
     t = RootedForest(parents)
-    ring = ModularRing(1000003, prime=True) if mode == "mod" else None
+    ring = ModularRing(1000003) if mode == "mod" else None
     weights = None
     if mode in ("index", "mod"):
         weights = [v + 1 for v in range(n)]
@@ -313,7 +313,7 @@ def test_eval_h_pinned(label, n, edges, parents, d, mode, expected):
 
 def test_single_vertex_is_its_weight_and_keeps_the_checks():
     g = empty_graph(1)
-    ring = ModularRing(7, prime=True)
+    ring = ModularRing(7)
     for d in (1, 3):
         assert count_elim_trees(g, chain(1), d, ring, weights=[9]) == 2
         assert eval_h(g, chain(1), d, ring, weights=[9]) == (2,)
@@ -335,7 +335,7 @@ def test_modular_count_is_the_exact_count_mod_p():
     # a modular count is made in integers and reduced once, at the end
     rng = random.Random(8)
     for p in (101, sample_prime(1 << 62, rng)):
-        ring = ModularRing(p, prime=True)
+        ring = ModularRing(p)
         for g in connected_graphs_up_to(6):
             t = centroid_forest(g)
             d = rng.randrange(1, 5)

@@ -6,7 +6,7 @@ import pytest
 from tdsolve.construct import solve_deterministic
 from tdsolve.counting import count_elim_trees
 from tdsolve.forest import RootedForest, validate_elimination_forest
-from tdsolve import construct, counting, linear
+from tdsolve import construct, counting, linear, polyring
 from tdsolve.graph import (
     BodlaenderOutcome,
     Graph,
@@ -39,7 +39,6 @@ from tdsolve.oracle import (
     random_graph,
     random_tree,
 )
-from tdsolve.polyring import ExactRing, ModularRing
 
 
 CFG = LinearConfig()
@@ -57,7 +56,7 @@ def descend_randomized(g, d, seed):
 
 def test_choose_modulus_prime_case():
     ring = choose_modulus(8, 16, sampled_prime=10007)
-    assert ring.modulus == 10007 and ring.prime
+    assert ring.modulus == 10007
 
 
 def test_choose_modulus_ring_policy():
@@ -65,10 +64,10 @@ def test_choose_modulus_ring_policy():
     for n, r_prime in [(2, 1), (3, 2), (256, 8), (257, 9), (10**6, 20)]:
         for r in range(1, r_prime):
             ring = choose_modulus(r, n, sampled_prime=10007)
-            assert ring.modulus is None and not ring.prime
+            assert ring.modulus is None
         for r in (r_prime, r_prime + 1):
             ring = choose_modulus(r, n, sampled_prime=10007)
-            assert ring.modulus == 10007 and ring.prime
+            assert ring.modulus == 10007
     with pytest.raises(ValueError):
         choose_modulus(0, 5, sampled_prime=10007)
 
@@ -107,20 +106,19 @@ def test_randomized_solver_counts_in_exact_integers(monkeypatch, g, d):
 
     monkeypatch.setattr(linear, "count_elim_trees", recording(linear.count_elim_trees))
     monkeypatch.setattr(construct, "count_elim_forests", recording(construct.count_elim_forests))
-    f = solve_randomized(g, d, CFG, random.Random(0))
+    f = solve_randomized(g, d, random.Random(0))
     assert f is not None and validate_elimination_forest(g, f, d)
     assert rings and all(r is None or r.modulus is None for r in rings)
 
 
 def test_determine_exact_depth_examples():
     k1 = empty_graph(1)
-    ring = ModularRing(10007, prime=True)
-    assert determine_exact_depth(k1, RootedForest([-1]), 1, ring) == 1
+    assert determine_exact_depth(k1, RootedForest([-1]), 1) == 1
     k2 = path(2)
-    assert determine_exact_depth(k2, RootedForest([-1, 0]), 3, ring) == 2
+    assert determine_exact_depth(k2, RootedForest([-1, 0]), 3) == 2
     p7 = path(7)
-    assert determine_exact_depth(p7, dfs_elimination_forest(p7), 3, ring) == 3
-    assert determine_exact_depth(p7, dfs_elimination_forest(p7), 2, ring) is None
+    assert determine_exact_depth(p7, dfs_elimination_forest(p7), 3) == 3
+    assert determine_exact_depth(p7, dfs_elimination_forest(p7), 2) is None
 
 
 def test_find_root_p3():
@@ -154,7 +152,7 @@ def test_found_roots_always_candidates():
 def test_construct_linear_p3():
     g = path(3)
     t = dfs_elimination_forest(g)  # depth 3 <= 2d
-    f = construct_linear(g, t, 2, CFG, random.Random(0))
+    f = construct_linear(g, t, 2, random.Random(0))
     assert f is not None and f.roots == [1]
     assert validate_elimination_forest(g, f, 2)
 
@@ -162,7 +160,7 @@ def test_construct_linear_p3():
 def test_construct_linear_k4_infeasible():
     g = clique(4)
     t = dfs_elimination_forest(g)
-    assert construct_linear(g, t, 3, CFG, random.Random(0)) is None
+    assert construct_linear(g, t, 3, random.Random(0)) is None
 
 
 def test_construct_linear_matches_deterministic_on_catalog():
@@ -172,7 +170,7 @@ def test_construct_linear_matches_deterministic_on_catalog():
         t = dfs_elimination_forest(g)
         if t.max_depth > 2 * td:
             t = solve_deterministic(g, td)
-        f = construct_linear(g, t, td, CFG, rng)
+        f = construct_linear(g, t, td, rng)
         assert f is not None  # false negatives possible in principle, not seen at these sizes
         assert validate_elimination_forest(g, f, td)
 
@@ -185,14 +183,14 @@ def test_solve_randomized_base_cases():
 
 def test_solve_randomized_edge_filter():
     g = clique(5)  # 10 edges > 1*5
-    assert solve_randomized(g, 1, CFG, random.Random(0)) is None
+    assert solve_randomized(g, 1, random.Random(0)) is None
 
 
 def test_solve_randomized_validates_its_output():
     rng = random.Random(99)
     for g, d in [(path(7), 3), (cycle(8), 4), (random_tree(10, 4), 3),
                  (disjoint_union(path(3), clique(3)), 3)]:
-        f = solve_randomized(g, d, CFG, rng)
+        f = solve_randomized(g, d, rng)
         if f is not None:
             assert validate_elimination_forest(g, f, d)
 
@@ -201,16 +199,16 @@ def test_solve_randomized_oracle_agreement_small():
     for g in connected_graphs_up_to(5):
         td = brute_td(g)
         for d in (td, td + 1):
-            f = solve_randomized(g, d, CFG, random.Random(5))
+            f = solve_randomized(g, d, random.Random(5))
             assert f is not None
             assert validate_elimination_forest(g, f, d)
         if td > 1:
-            assert solve_randomized(g, td - 1, CFG, random.Random(5)) is None
+            assert solve_randomized(g, td - 1, random.Random(5)) is None
 
 
 def test_solve_randomized_infeasible_paths_certified_quickly():
     # td(P_n) = ceil(log2(n+1)) exceeds 8 from n = 256 on
-    assert solve_randomized(path(1024), 8, CFG, random.Random(1)) is None
+    assert solve_randomized(path(1024), 8, random.Random(1)) is None
 
 
 def test_solve_counts_over_the_shallower_forest(monkeypatch):
@@ -353,7 +351,7 @@ def test_randomized_solver_skips_the_descent_over_a_shallow_centroid_forest(monk
     steps = record_steps(monkeypatch)
     for g, d in [(path(23), 5), (cycle(6), 4)]:
         assert centroid_forest(g).max_depth <= d + 1
-        f = solve_randomized(g, d, CFG, random.Random(0))
+        f = solve_randomized(g, d, random.Random(0))
         assert f is not None and validate_elimination_forest(g, f, d)
     assert not steps
 
@@ -362,7 +360,7 @@ def test_randomized_solver_descends_past_a_deep_centroid_forest(monkeypatch):
     steps = record_steps(monkeypatch)
     g = random_graph(6, 7, 35)
     assert brute_td(g) == 3 and centroid_forest(g).max_depth == 5
-    f = solve_randomized(g, 3, CFG, random.Random(0))
+    f = solve_randomized(g, 3, random.Random(0))
     assert steps
     assert f is not None and f.max_depth <= 3 and validate_elimination_forest(g, f, 3)
 
@@ -375,7 +373,7 @@ def test_randomized_verdicts_match_the_oracle_on_both_sides_of_the_guard(monkeyp
         td = brute_td(g)
         for d in range(1, 6):
             steps.clear()
-            f = solve_randomized(g, d, CFG, rng)
+            f = solve_randomized(g, d, rng)
             assert (f is not None) == (td <= d), (g, d)
             if f is not None:
                 assert validate_elimination_forest(g, f, d)
@@ -419,7 +417,7 @@ def test_finder_counts_level_graph_at_d_only_for_a_larger_class(monkeypatch):
     # two or more, so the finder never counts it on its own
     finds = record_finder_counts(monkeypatch)
     for g, d in [(path(15), 4), (random_tree(12, 7), 3), (cycle(8), 4), (complete_bipartite(2, 5), 3)]:
-        assert solve_randomized(g, d, CFG, random.Random(3)) is not None
+        assert solve_randomized(g, d, random.Random(3)) is not None
     by_singleton = by_class = 0
     for n, d, found, made in finds:
         whole = [i for i, c in enumerate(made) if c == (n, d, False)]
@@ -432,8 +430,7 @@ def test_finder_counts_level_graph_at_d_only_for_a_larger_class(monkeypatch):
     assert by_singleton and by_class
 
 
-@pytest.mark.parametrize("ring", [ExactRing(), ModularRing(101, prime=True)], ids=["exact", "mod101"])
-def test_class_counts_equal_two_separate_counts(monkeypatch, ring):
+def test_class_counts_equal_two_separate_counts(monkeypatch):
     made = []
 
     def counting(*args, **kwargs):
@@ -447,11 +444,11 @@ def test_class_counts_equal_two_separate_counts(monkeypatch, ring):
         d = rng.randrange(1, 5)
         members = sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
         made.clear()
-        total, den, num = _class_counts(g, t, d, ring, members)
+        total, den, num = _class_counts(g, t, d, members)
         assert len(made) == 1  # one packed count
-        assert total == count_elim_trees(g, t, d, ring)
-        assert den == count_elim_trees(g, t, d, ring, weights=[int(v in members) for v in range(g.n)])
-        assert num == count_elim_trees(g, t, d, ring, weights=[v + 1 if v in members else 0 for v in range(g.n)])
+        assert total == count_elim_trees(g, t, d)
+        assert den == count_elim_trees(g, t, d, weights=[int(v in members) for v in range(g.n)])
+        assert num == count_elim_trees(g, t, d, weights=[v + 1 if v in members else 0 for v in range(g.n)])
 
 
 def test_infeasible_level_refuted_by_one_count_at_d(monkeypatch):
@@ -460,9 +457,9 @@ def test_infeasible_level_refuted_by_one_count_at_d(monkeypatch):
     # classes cost no count, and the packed count of the first larger class
     # refutes the level
     finds = record_finder_counts(monkeypatch)
-    assert solve_randomized(cycle(12), 4, CFG, random.Random(0)) is None  # td(C12) = 5
+    assert solve_randomized(cycle(12), 4, random.Random(0)) is None  # td(C12) = 5
     assert not finds  # refuted by the structural filter
-    assert solve_randomized(complete_bipartite(4, 4), 4, CFG, random.Random(0)) is None
+    assert solve_randomized(complete_bipartite(4, 4), 4, random.Random(0)) is None
     n, d, found, made = finds[-1]
     assert (n, d, found) == (8, 4, None)
     assert made == [(8, 4, True)]
@@ -478,20 +475,20 @@ def test_six_cycle_refuted_at_three_before_any_count_or_prime(monkeypatch):
     monkeypatch.setattr(linear, "count_elim_trees", refuse)
     g = cycle(6)
     assert solve_deterministic(g, 3) is None
-    assert solve_randomized(g, 3, CFG, random.Random(0)) is None
+    assert solve_randomized(g, 3, random.Random(0)) is None
 
 
 def test_solve_randomized_path15_within_budget():
     g = path(15)
-    f = solve_randomized(g, 4, CFG, random.Random(0))
+    f = solve_randomized(g, 4, random.Random(0))
     assert f is not None and f.max_depth <= 4
     assert validate_elimination_forest(g, f, 4)
 
 
 def test_same_seed_same_forest():
     g = random_tree(12, 7)
-    a = solve_randomized(g, 3, CFG, random.Random(42))
-    b = solve_randomized(g, 3, CFG, random.Random(42))
+    a = solve_randomized(g, 3, random.Random(42))
+    b = solve_randomized(g, 3, random.Random(42))
     assert a == b
 
 
@@ -501,7 +498,7 @@ def test_color_doubling_recovers_from_tiny_override(monkeypatch):
     monkeypatch.setattr(linear, "color_count", lambda n, d: 1)
     monkeypatch.setattr(linear, "MAX_COLORING_RETRIES", 4)
     g = path(7)
-    f = solve_randomized(g, 3, CFG, random.Random(2))
+    f = solve_randomized(g, 3, random.Random(2))
     assert f is not None and validate_elimination_forest(g, f, 3)
 
 
@@ -524,3 +521,13 @@ def test_config_color_count_defaults():
     assert color_count(100, 1) == 16
     assert color_count(5, 4) == 5
     assert color_count(1, 3) == 1
+
+
+def test_solver_layers_import_nothing_from_polyring():
+    # the counting engine alone chooses a ring; the solvers count in exact
+    # integers and pass none
+    ring_names = {name for name, obj in vars(polyring).items()
+                  if getattr(obj, "__module__", None) == polyring.__name__}
+    for module in (construct, linear):
+        assert not ring_names & set(vars(module)), module.__name__
+        assert polyring not in vars(module).values(), module.__name__

@@ -1,13 +1,10 @@
 import random
-import time
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdsolve import polyring
-from tdsolve.linear import LinearConfig
-from tdsolve.polyring import ModularRing, is_prime, mod_inverse, poly_mul, poly_trim, sample_prime
+from tdsolve.polyring import ModularRing, is_prime, poly_mul, poly_trim, sample_prime
 
 
 def test_mul_clips_at_cap():
@@ -29,21 +26,6 @@ def test_hand_convolution():
 def test_modular_canonical_representatives():
     ring = ModularRing(5)
     assert [ring.normalize(c) for c in (-1, 7)] == [4, 2]
-
-
-def test_mod_inverse():
-    ring = ModularRing(7, prime=True)
-    assert mod_inverse(3, ring) == 5
-    assert mod_inverse(1, ring) == 1
-    with pytest.raises(ZeroDivisionError):
-        mod_inverse(0, ring)
-    with pytest.raises(ZeroDivisionError):
-        mod_inverse(14, ring)
-
-
-def test_inverse_needs_prime_ring():
-    with pytest.raises(ValueError):
-        mod_inverse(3, ModularRing(8))
 
 
 @given(st.lists(st.integers(-50, 50), max_size=6), st.lists(st.integers(-50, 50), max_size=6))
@@ -108,24 +90,6 @@ def test_sample_prime_always_prime_in_range():
         assert is_prime(p)
 
 
-def test_sampler_interval_bound_caps_at_word_range():
-    cfg = LinearConfig()
-    assert cfg.prime_bound(1, 1) == max(21, 32)
-    assert cfg.prime_bound(50, 6) == cfg.word_cap
-
-
-def test_prime_bound_matches_the_formula_without_forming_it():
-    for e in range(1, 4):
-        cfg = LinearConfig(error_exponent=e)
-        for n in range(61):
-            for d in range(9):
-                formula = max(cfg.prime_lower_threshold, n**5 * 2 ** (5 * e * d * d))
-                assert cfg.prime_bound(n, d) == min(formula, cfg.word_cap), (n, d, e)
-    start = time.process_time()
-    assert LinearConfig().prime_bound(2, 30000) == LinearConfig().word_cap
-    assert time.process_time() - start < 0.1
-
-
 def twelve_witness_is_prime(n):
     """Miller-Rabin with the first twelve primes as bases for every n: the
     test is_prime replaces with Sinclair's bases below 2^64."""
@@ -155,8 +119,8 @@ def twelve_witness_is_prime(n):
 def test_is_prime_agrees_with_twelve_witnesses():
     for n in range(2 * 10**5):
         assert is_prime(n) == twelve_witness_is_prime(n), n
-    # the sampler's interval at its word cap
-    bound = LinearConfig().prime_bound(12, 4)
+    # an interval of 62-bit numbers, two machine words
+    bound = 1 << 62
     rng = random.Random(8)
     for _ in range(2 * 10**5):
         n = rng.randrange(bound + 1, 2 * bound)
@@ -168,7 +132,7 @@ def test_is_prime_agrees_with_twelve_witnesses():
 
 
 def test_sample_prime_draws_as_with_twelve_witnesses(monkeypatch):
-    bound = LinearConfig().prime_bound(12, 4)
+    bound = 1 << 62
     for seed in range(200):
         fast, slow = random.Random(seed), random.Random(seed)
         p = sample_prime(bound, fast)
