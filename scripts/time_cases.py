@@ -44,6 +44,9 @@ bounded cases need a tree whose oracle has that generator):
   det-k44-d4          solve_deterministic(complete_bipartite(4, 4), 4),
                       infeasible: passes the structural filter, refuted by a
                       full root scan whose every K44-v the filter refutes
+  det-star2000-d2     solve_deterministic(complete_bipartite(1, 1999), 2):
+                      removing the centre leaves 1999 singletons, so the
+                      driver's bookkeeping is the whole cost
   validate-star4000   validate_elimination_forest(complete_bipartite(1, 3999),
                       chain, 4000)
   contract-rg5000     g = random_graph(5000, 15000, 1), then
@@ -81,6 +84,7 @@ CASES = {
     "det-path15-d4": ("deterministic", "path", (15,), 4),
     "det-bounded32-d4": ("deterministic", "bounded", (32, 4, 1), 4),
     "det-k44-d4": ("deterministic", "complete_bipartite", (4, 4), 4),
+    "det-star2000-d2": ("deterministic", "complete_bipartite", (1, 1999), 2),
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),
     "contract-rg5000": ("contract", "random_graph", (5000, 15000, 1), None),
     "split-rg5000": ("split", "random_graph", (5000, 4000, 1), None),

@@ -4,17 +4,17 @@ scan on top of the counting engine.
 
 The driver splits every graph it is given into its connected components
 and runs the self-reduction per component: a root finder names a vertex v
-whose removal leaves a feasible instance, the driver recurses on g-v and
-attaches v as the root.  Both solvers enter through build_guided (the
-centroid forest, or the descent when that is more than d+1 deep), so they
-differ only in the finder they pass in.
+whose removal leaves a feasible instance, the driver writes v as the root
+into one parent array and recurses on the components of g-v.  Both solvers
+enter through build_guided (the centroid forest, or the descent when that
+is more than d+1 deep), so they differ only in the finder they pass in.
 
 The exact scan looks only at the graphs g-v: a connected g has depth at most
 d exactly when some g-v has depth at most d-1, so an exhausted scan
 certifies the verdict None (exact counts give no false negatives).  Both
 solvers certify a root through fits, which settles a component of g-v by its
-size or by the structural filter where it can, and builds t-v and counts
-only where neither decides."""
+size or by the structural filter where it can, and splits t around v and
+counts only where neither decides."""
 
 from __future__ import annotations
 
@@ -23,12 +23,10 @@ from typing import Callable
 from .counting import count_elim_forests
 from .forest import (
     RootedForest,
-    attach_root,
     expand_contracted_forest,
     lift_simplicial,
-    merge_forests,
-    remove_vertex,
     split_components,
+    validate_elimination_forest,
 )
 from .graph import (
     Graph,
@@ -37,12 +35,10 @@ from .graph import (
     contract_matching,
     induced_subgraph,
     labelled_components,
-    minus_vertex,
     structurally_infeasible,
 )
 
 RootFinder = Callable[[Graph, RootedForest, int], tuple[int, int] | None]
-LazyForest = RootedForest | Callable[[], RootedForest]
 
 
 def build_forest(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> RootedForest | None:
@@ -52,25 +48,31 @@ def build_forest(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> Ro
 
     find_root(g, t, d) is only asked about connected graphs with at least two
     vertices; it returns a root v and the depth budget left for g-v, or None.
+    Each root goes straight into one parent array over g's vertices, and the
+    recursion splits a component around its root without building g-v.
     """
-    if g.n == 0:
-        return RootedForest([])
-    if d < 1:
-        return None
-    parts = []
-    for verts, sub, subt in split_components(g, t):
-        if sub.n == 1:
-            parts.append((verts, RootedForest([-1])))
-            continue
-        found = find_root(sub, subt, d)
-        if found is None:
-            return None
-        v, budget = found
-        rest = build_forest(minus_vertex(sub, v), remove_vertex(subt, v), budget, find_root)
-        if rest is None:
-            return None
-        parts.append((verts, attach_root(rest, v)))
-    return merge_forests(parts)
+    parent = [-1] * g.n
+
+    def place(h: Graph, th: RootedForest, names, d: int, drop: int) -> bool:
+        # roots every component of h-drop below drop; names maps h to g
+        above = names[drop] if drop >= 0 else -1
+        for verts, sub, subt in split_components(h, th, drop):
+            if d < 1:
+                return False
+            if sub.n == 1:
+                parent[names[verts[0]]] = above
+                continue
+            found = find_root(sub, subt, d)
+            if found is None:
+                return False
+            v, budget = found
+            verts = [names[u] for u in verts]
+            parent[verts[v]] = above
+            if not place(sub, subt, verts, budget, v):
+                return False
+        return True
+
+    return RootedForest(parent) if place(g, t, range(g.n), d, -1) else None
 
 
 def build_over_shallower(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> RootedForest | None:
@@ -140,28 +142,26 @@ def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
     return f
 
 
-def fits(g: Graph, t: LazyForest, d: int) -> bool:
-    """Whether count_elim_forests(g, t, d) is nonzero.  A component of at
-    most d vertices fits, one that structurally_infeasible rejects does not,
-    and the rest are counted once all have passed the filter; only then is
-    t built (when it is a function) and validated."""
-    big = [sub for _, sub in labelled_components(g)[2] if sub.n > d]
+def fits(g: Graph, t: RootedForest, v: int, d: int) -> bool:
+    """Whether g-v fits depth d, that is whether count_elim_forests is
+    nonzero on g-v and t restricted to it.  A component of g-v of at most d
+    vertices fits, one that structurally_infeasible rejects does not, and
+    the rest are counted once all have passed the filter; only then is t
+    split around v."""
+    big = [sub for _, sub in labelled_components(g, v)[2] if sub.n > d]
     if any(structurally_infeasible(sub, d) for sub in big):
         return False
     if not big:
         return True
-    parts = split_components(g, t if isinstance(t, RootedForest) else t())
-    return all(count_elim_forests(sub, subt, d) for _, sub, subt in parts if sub.n > d)
+    return all(count_elim_forests(sub, subt, d) for _, sub, subt in split_components(g, t, v) if sub.n > d)
 
 
 def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
     """The first vertex v, in index order, such that g-v fits budget d-1, or
     the certified None when there is none: every g-v failed on a component
-    the structural filter refutes or whose exact count is zero.
-
-    t-v is built, and validated, only where a component of g-v is counted."""
+    the structural filter refutes or whose exact count is zero."""
     for v in range(g.n):
-        if fits(minus_vertex(g, v), lambda: remove_vertex(t, v), d - 1):
+        if fits(g, t, v, d - 1):
             return v, d - 1
     return None
 
@@ -169,18 +169,20 @@ def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None
 def construct_elim_forest(g: Graph, t: RootedForest, d: int) -> RootedForest | None:
     """Exact-count self-reduction: an elimination forest of g of depth at most
     d, or the verdict None, certified by an exhausted root scan.  t is
-    validated per counted t-v, not against g as a whole."""
+    validated per counted component of g-v, not against g as a whole."""
     return build_forest(g, t, d, find_root_exact)
 
 
 def build_guided(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
     """Both solvers' entry after their filter: the descent exists to supply
     an auxiliary forest of depth O(d), so a centroid forest at most d+1 <= 2d
-    deep is built over directly, and only a deeper one takes the descent."""
+    deep is built over directly, and only a deeper one takes the descent.
+    Never returns an invalid forest: every one is validated against g."""
     c = centroid_forest(g)
-    if c.max_depth <= d + 1:
-        return build_forest(g, c, d, find_root)
-    return descend(g, d, find_root)
+    f = build_forest(g, c, d, find_root) if c.max_depth <= d + 1 else descend(g, d, find_root)
+    if f is not None and not validate_elimination_forest(g, f, d):
+        raise AssertionError("solver produced an invalid forest; this is a bug")
+    return f
 
 
 def solve_deterministic(g: Graph, d: int) -> RootedForest | None:

@@ -1,8 +1,8 @@
 """Rooted forests on dense 0-indexed vertex sets: depths, preorder and
 subtree sizes, elimination-forest validation (O(n + m), by preorder
 intervals), the counter's skeleton tree, and the surgeries used by both
-solver drivers (the split of a graph and its forest into components from
-one component labelling, vertex removal, root attachment, contraction
+solver drivers (the split of a graph, less at most one vertex, and its
+forest into components from one component labelling, contraction
 expansion, simplicial lifting).
 
 A parent of -1 marks a root, in the arrays forests are built from and in
@@ -171,56 +171,28 @@ def validate_elimination_forest(g: Graph, f: RootedForest, d: int) -> bool:
     return unbound_edge(g, f) is None
 
 
-def split_components(g: Graph, t: RootedForest) -> list[tuple[list[int], Graph, RootedForest]]:
-    """(sorted vertex list, induced subgraph, restricted forest) for each
-    component of g, ordered by least vertex.  The parent of a vertex in its
-    component's forest is its deepest proper t-ancestor inside that
-    component, so depths never increase.  A connected g comes back with its
-    own g and t, since restricting to one component keeps every parent."""
-    comp, local, comps = labelled_components(g)
-    if len(comps) == 1:
+def split_components(g: Graph, t: RootedForest, drop: int = -1) -> list[tuple[list[int], Graph, RootedForest]]:
+    """(sorted vertex list in g's indices, induced subgraph, restricted
+    forest) for each component of g-drop, ordered by least vertex.  The
+    parent of a vertex in its component's forest is its deepest proper
+    t-ancestor inside that component, so depths never increase, and the
+    children of drop adopt its parent.  A connected g with nothing dropped
+    comes back with its own g and t, since restricting to one component
+    keeps every parent."""
+    comp, local, comps = labelled_components(g, drop)
+    if len(comps) == 1 and drop < 0:
         return [(comps[0][0], g, t)]
     tparent = t._parent
     parents = [[] for _ in comps]
     for v in range(g.n):  # ascending, so each component's vertices in list order
         c = comp[v]
+        if c < 0:
+            continue
         p = tparent[v]
         while p >= 0 and comp[p] != c:
             p = tparent[p]
         parents[c].append(local[p] if p >= 0 else -1)
     return [(verts, sub, RootedForest(parent)) for (verts, sub), parent in zip(comps, parents)]
-
-
-def remove_vertex(f: RootedForest, v: int) -> RootedForest:
-    """Delete v; its children adopt v's parent (or become roots).  Vertices
-    above v keep their index, those after shift down by one."""
-    pv = f.parent(v)
-    parent = []
-    for u in range(f.n):
-        if u == v:
-            continue
-        p = f.parent(u)
-        if p == v:
-            p = pv
-        parent.append(p - 1 if p > v else p)
-    return RootedForest(parent)
-
-
-def attach_root(f: RootedForest, v: int) -> RootedForest:
-    """Insert a new vertex at index v as the unique root; all former roots
-    become its children and indices at or after v shift up by one."""
-    if not (0 <= v <= f.n):
-        raise ValueError("insertion index out of range")
-    parent = [0] * (f.n + 1)
-    for u in range(f.n):
-        nu = u + 1 if u >= v else u
-        p = f.parent(u)
-        if p < 0:
-            parent[nu] = v
-        else:
-            parent[nu] = p + 1 if p >= v else p
-    parent[v] = -1
-    return RootedForest(parent)
 
 
 def merge_forests(parts) -> RootedForest:

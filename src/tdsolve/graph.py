@@ -86,10 +86,13 @@ def minus_vertex(g: Graph, v: int) -> Graph:
     return Graph(adj)
 
 
-def component_labels(g: Graph) -> tuple[list[int], int]:
-    """The component index of every vertex, components numbered in the order
-    of their least vertex, and the number of components."""
+def component_labels(g: Graph, drop: int = -1) -> tuple[list[int], int]:
+    """The component index of every vertex of g-drop (-1 for drop),
+    components numbered in the order of their least vertex, and the number
+    of components."""
     label = [None] * g.n
+    if drop >= 0:
+        label[drop] = -1
     k = 0
     for s in range(g.n):
         if label[s] is not None:
@@ -116,22 +119,24 @@ def connected_components(g: Graph) -> list[tuple[list[int], Graph]]:
     return labelled_components(g)[2]
 
 
-def labelled_components(g: Graph) -> tuple[list[int], list[int], list[tuple[list[int], Graph]]]:
-    """The component of every vertex, its index in that component's vertex
-    list, and connected_components(g), all from one labelling."""
-    label, k = component_labels(g)
-    if k == 1:
+def labelled_components(g: Graph, drop: int = -1) -> tuple[list[int], list[int], list[tuple[list[int], Graph]]]:
+    """The component of every vertex of g-drop, its index in that
+    component's vertex list, and connected_components(g-drop) with the
+    vertex lists in g's indices, all from one labelling."""
+    label, k = component_labels(g, drop)
+    if k == 1 and drop < 0:
         return label, range(g.n), [(list(range(g.n)), g)]
     comps = [[] for _ in range(k)]
     local = [0] * g.n
     for v, c in enumerate(label):
-        local[v] = len(comps[c])
-        comps[c].append(v)
+        if c >= 0:
+            local[v] = len(comps[c])
+            comps[c].append(v)
     out = []
     for comp in comps:
-        # every neighbour is in the component, and local indices keep the
-        # order of g's, so each list comes out sorted
-        adj = [[local[w] for w in g.adj[v]] for v in comp]
+        # every neighbour but drop is in the component, and local indices
+        # keep the order of g's, so each list comes out sorted
+        adj = [[local[w] for w in g.adj[v] if w != drop] for v in comp]
         out.append((comp, Graph(adj)))
     return label, local, out
 

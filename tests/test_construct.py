@@ -1,10 +1,11 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdsolve import construct
 from tdsolve.construct import construct_elim_forest, descend, find_root_exact, fits, solve_deterministic
 from tdsolve.counting import count_elim_forests
-from tdsolve.forest import RootedForest, attach_root, merge_forests, remove_vertex, validate_elimination_forest
+from tdsolve.forest import RootedForest, merge_forests, validate_elimination_forest
 from tdsolve.graph import (
     centroid_forest,
     connected_components,
@@ -115,16 +116,34 @@ def test_root_scan_returns_first_feasible_root():
 
 def test_fits_is_a_nonzero_count():
     # settling a component by its size or by the structural filter gives the
-    # verdict of counting it.  Counts never fall as the budget grows, so once
-    # one is positive the larger budgets need no reference count
+    # verdict of counting it.  Whether a count is nonzero does not depend on
+    # the forest (test_positivity_independent_of_auxiliary_tree), so the
+    # reference counts g-v over its own DFS forest.  Counts never fall as
+    # the budget grows, so once one is positive the larger budgets need no
+    # reference count
     for g in connected_graphs_up_to(6):
-        for t in (dfs_elimination_forest(g), centroid_forest(g)):
-            for v in range(g.n):
-                gv, tv = minus_vertex(g, v), remove_vertex(t, v)
+        for v in range(g.n):
+            gv = minus_vertex(g, v)
+            tv = dfs_elimination_forest(gv)
+            for t in (dfs_elimination_forest(g), centroid_forest(g)):
                 count = 0
                 for d in range(g.n + 1):
                     count = count or count_elim_forests(gv, tv, d)
-                    assert fits(gv, tv, d) == (count != 0), (g, v, d)
+                    assert fits(g, t, v, d) == (count != 0), (g, v, d)
+
+
+def test_an_invalid_forest_is_never_returned(monkeypatch):
+    # a finder that keeps the budget builds path(7) into a forest deeper
+    # than 3; the final validation turns that into an error
+    real = construct.find_root_exact
+
+    def keep_budget(g, t, d):
+        found = real(g, t, d)
+        return None if found is None else (found[0], d)
+
+    monkeypatch.setattr(construct, "find_root_exact", keep_budget)
+    with pytest.raises(AssertionError, match="invalid forest"):
+        solve_deterministic(path(7), 3)
 
 
 def test_scan_refutes_by_structure_without_counting(monkeypatch):
@@ -166,7 +185,9 @@ def compress(g, d):
     repaired into a depth-d forest, one vertex at a time."""
     f = RootedForest([])
     for i in range(g.n):
-        f = construct_elim_forest(induced_subgraph(g, range(i + 1))[0], attach_root(f, i), d)
+        # vertex i on top of the forest of the prefix before it
+        t = RootedForest([i if f.parent(u) < 0 else f.parent(u) for u in range(i)] + [-1])
+        f = construct_elim_forest(induced_subgraph(g, range(i + 1))[0], t, d)
         if f is None:
             return None
     return f

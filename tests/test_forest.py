@@ -8,10 +8,8 @@ from tdsolve import oracle
 from tdsolve.forest import (
     PrefixTree,
     RootedForest,
-    attach_root,
     expand_contracted_forest,
     lift_simplicial,
-    remove_vertex,
     split_components,
     unbound_edge,
     validate_elimination_forest,
@@ -23,6 +21,7 @@ from tdsolve.graph import (
     contract_matching,
     dfs_elimination_forest,
     greedy_maximal_matching,
+    induced_subgraph,
 )
 from tdsolve.oracle import (
     all_elimination_trees,
@@ -215,55 +214,6 @@ def test_restrict_never_deepens(seed):
             assert subt.depth_of(i) <= f.depth_of(v)
 
 
-def test_remove_middle_of_chain():
-    assert parent_array(remove_vertex(chain(3), 1)) == [-1, 0]
-
-
-def test_remove_root_of_chain():
-    assert parent_array(remove_vertex(chain(2), 0)) == [-1]
-
-
-def test_remove_star_center_makes_roots():
-    star = RootedForest([-1, 0, 0])
-    assert parent_array(remove_vertex(star, 0)) == [-1, -1]
-
-
-def test_attach_root_cases():
-    empty = RootedForest([])
-    assert parent_array(attach_root(empty, 0)) == [-1]
-    two_roots = RootedForest([-1, -1])
-    f = attach_root(two_roots, 0)
-    assert parent_array(f) == [-1, 0, 0] and f.max_depth == 2
-    deep = chain(3)
-    assert attach_root(deep, 3).max_depth == 4
-
-
-@given(st.integers(0, 200))
-@settings(max_examples=40)
-def test_attach_undoes_remove(seed):
-    n = 3 + seed % 5
-    g = random_tree(n, seed)
-    from tdsolve.graph import dfs_elimination_forest
-
-    f = dfs_elimination_forest(g)
-    v = seed % n
-    back = attach_root(remove_vertex(f, v), v)
-    assert back.n == f.n
-    for u in range(n):
-        assert back.depth_of(u) <= f.depth_of(u) + 1
-
-
-def test_remove_vertex_keeps_elimination_property():
-    g = cycle(4)
-    for f in all_elimination_trees(g, 4):
-        for v in range(4):
-            gv_edges = [
-                (a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)
-            ]
-            gv = Graph.from_edges(3, gv_edges)
-            assert validate_elimination_forest(gv, remove_vertex(f, v), 4)
-
-
 def test_expand_contracted_k2():
     f = RootedForest([-1])
     out = expand_contracted_forest(f, [(0, 1)])
@@ -351,28 +301,40 @@ def test_split_components_keeps_a_connected_graph_and_its_forest():
             assert sub is g and subt is t
 
 
+def _check_restriction(g, t, parts, drop=-1):
+    """Check split_components' parts of g-drop against the components of
+    g-drop and the deepest proper t-ancestor inside each component."""
+    keep = [v for v in range(g.n) if v != drop]
+    comps = [([keep[u] for u in verts], sub) for verts, sub in connected_components(induced_subgraph(g, keep)[0])]
+    assert len(parts) == len(comps)
+    for (verts, sub, subt), (cverts, csub) in zip(parts, comps):
+        assert verts == cverts and sub.adj == csub.adj
+        expected = []
+        for v in verts:
+            above = [u for u in verts if u != v and is_ancestor(t, u, v)]
+            top = max(above, key=t.depth_of, default=None)
+            expected.append(-1 if top is None else verts.index(top))
+        assert parent_array(subt) == expected
+        assert validate_elimination_forest(sub, subt, t.max_depth)
+
+
 def test_split_components_matches_restriction_on_disconnected_graphs():
     split = 0
     for seed in range(60):
         n = 3 + seed % 8
         g = random_graph(n, seed % n, seed)
         for t in [dfs_elimination_forest(g), chain(n)]:
-            comps = connected_components(g)
             parts = split_components(g, t)
-            assert len(parts) == len(comps)
-            if len(comps) == 1:
-                continue
-            split += 1
-            for (verts, sub, subt), (cverts, csub) in zip(parts, comps):
-                assert verts == cverts and sub.adj == csub.adj
-                # reference: the deepest proper t-ancestor inside the component
-                expected = []
-                for v in verts:
-                    above = [u for u in verts if u != v and is_ancestor(t, u, v)]
-                    top = max(above, key=t.depth_of, default=None)
-                    expected.append(-1 if top is None else verts.index(top))
-                assert parent_array(subt) == expected
-                assert validate_elimination_forest(sub, subt, t.max_depth)
+            _check_restriction(g, t, parts)
+            split += len(parts) > 1
+            # with a vertex dropped even one component is split afresh
+            v = seed % n
+            _check_restriction(g, t, split_components(g, t, v), v)
+    # a dropped vertex of every elimination tree of the 4-cycle
+    g = cycle(4)
+    for t in all_elimination_trees(g, 4):
+        for v in range(4):
+            _check_restriction(g, t, split_components(g, t, v), v)
     assert split > 50
 
 
@@ -382,16 +344,20 @@ def test_split_labels_the_components_once(monkeypatch):
     calls = []
     real = graph.component_labels
 
-    def counting(g):
-        calls.append(g.n)
-        return real(g)
+    def counting(g, drop=-1):
+        calls.append((g.n, drop))
+        return real(g, drop)
 
     # also where forest.py would call it by an imported name
     for module in (graph, forest):
         monkeypatch.setattr(module, "component_labels", counting, raising=False)
-    parts = split_components(Graph.from_edges(6, [(0, 3), (1, 4), (3, 5)]), chain(6))
+    g = Graph.from_edges(6, [(0, 3), (1, 4), (3, 5)])
+    parts = split_components(g, chain(6))
     assert [verts for verts, _, _ in parts] == [[0, 3, 5], [1, 4], [2]]
-    assert calls == [6]
+    assert calls == [(6, -1)]
+    parts = split_components(g, chain(6), 3)
+    assert [verts for verts, _, _ in parts] == [[0], [1, 4], [2], [5]]
+    assert calls == [(6, -1), (6, 3)]
 
 
 def test_parent_of_a_root_is_minus_one():

@@ -29,9 +29,10 @@ UNWRAPPED = {"treedepth_lower_bound", "improved_graph"}
 UNCALLED = {"sample_prime"}
 
 # Named in LAYER_OF but defined nowhere since components are split in one
-# place, both solvers share the reduction descent and no count divides
-# modulo a prime; the tracer skips them until the list drops them.
-STALE = {"restrict_to_components", "induced_forest", "prefix_subgraph", "mod_inverse"}
+# place, both solvers share the reduction descent, no count divides modulo a
+# prime and the construction driver splits each graph around its root into
+# one parent array; the tracer skips them until the list drops them.
+STALE = {"restrict_to_components", "induced_forest", "prefix_subgraph", "mod_inverse", "attach_root", "remove_vertex"}
 
 
 def _write(tmp_path, name, text):
