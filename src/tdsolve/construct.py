@@ -4,17 +4,16 @@ scan on top of the counting engine.
 
 The driver splits every graph it is given into its connected components
 and runs the self-reduction per component: a root finder names a vertex v
-whose removal leaves a feasible instance, the driver writes v as the root
-into one parent array and recurses on the components of g-v.  Both solvers
-enter through build_guided (the centroid forest, or the descent when that
-is more than d+1 deep), so they differ only in the finder they pass in.
+whose removal leaves a feasible instance, with the split of g-v that shows
+it, and the driver writes v into one parent array and recurses on that
+split.  Both solvers enter through build_guided, with different finders.
 
 The exact scan looks only at the graphs g-v: a connected g has depth at most
 d exactly when some g-v has depth at most d-1, so an exhausted scan
 certifies the verdict None (exact counts give no false negatives).  Both
-solvers certify a root through fits, which settles a component of g-v by its
-size or by the structural filter where it can, and splits t around v and
-counts only where neither decides."""
+solvers certify a root through fits, which labels g-v once, settles its
+components by size or by the structural filter where it can, and restricts
+t to them and counts only where neither refutes."""
 
 from __future__ import annotations
 
@@ -22,9 +21,11 @@ from typing import Callable
 
 from .counting import count_elim_forests
 from .forest import (
+    Parts,
     RootedForest,
     expand_contracted_forest,
     lift_simplicial,
+    restrict_forest,
     split_components,
     validate_elimination_forest,
 )
@@ -38,7 +39,7 @@ from .graph import (
     structurally_infeasible,
 )
 
-RootFinder = Callable[[Graph, RootedForest, int], tuple[int, int] | None]
+RootFinder = Callable[[Graph, RootedForest, int], tuple[int, int, Parts] | None]
 
 
 def build_forest(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> RootedForest | None:
@@ -47,16 +48,15 @@ def build_forest(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> Ro
     root for some component.
 
     find_root(g, t, d) is only asked about connected graphs with at least two
-    vertices; it returns a root v and the depth budget left for g-v, or None.
-    Each root goes straight into one parent array over g's vertices, and the
-    recursion splits a component around its root without building g-v.
-    """
+    vertices; it returns a root v, the depth budget left for g-v and the
+    parts of g-v from fits, or None.  Each root goes straight into one parent
+    array over g's vertices, and only g itself is split here: the recursion
+    runs on the finder's parts."""
     parent = [-1] * g.n
 
-    def place(h: Graph, th: RootedForest, names, d: int, drop: int) -> bool:
-        # roots every component of h-drop below drop; names maps h to g
-        above = names[drop] if drop >= 0 else -1
-        for verts, sub, subt in split_components(h, th, drop):
+    def place(parts: Parts, names, d: int, above: int) -> bool:
+        # roots every part below above; names maps the parts' graph to g
+        for verts, sub, subt in parts:
             if d < 1:
                 return False
             if sub.n == 1:
@@ -65,14 +65,14 @@ def build_forest(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> Ro
             found = find_root(sub, subt, d)
             if found is None:
                 return False
-            v, budget = found
+            v, budget, below = found
             verts = [names[u] for u in verts]
             parent[verts[v]] = above
-            if not place(sub, subt, verts, budget, v):
+            if not place(below, verts, budget, verts[v]):
                 return False
         return True
 
-    return RootedForest(parent) if place(g, t, range(g.n), d, -1) else None
+    return RootedForest(parent) if place(split_components(g, t), range(g.n), d, -1) else None
 
 
 def build_over_shallower(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> RootedForest | None:
@@ -142,27 +142,26 @@ def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
     return f
 
 
-def fits(g: Graph, t: RootedForest, v: int, d: int) -> bool:
-    """Whether g-v fits depth d, that is whether count_elim_forests is
-    nonzero on g-v and t restricted to it.  A component of g-v of at most d
-    vertices fits, one that structurally_infeasible rejects does not, and
-    the rest are counted once all have passed the filter; only then is t
-    split around v."""
-    big = [sub for _, sub in labelled_components(g, v)[2] if sub.n > d]
-    if any(structurally_infeasible(sub, d) for sub in big):
-        return False
-    if not big:
-        return True
-    return all(count_elim_forests(sub, subt, d) for _, sub, subt in split_components(g, t, v) if sub.n > d)
+def fits(g: Graph, t: RootedForest, v: int, d: int) -> Parts | None:
+    """split_components(g, t, v) if g-v fits depth d (count_elim_forests is
+    nonzero on it), else None.  From one labelling of g-v, a component of at
+    most d vertices fits, one that structurally_infeasible rejects does not,
+    and only once all pass is t restricted and the rest counted."""
+    labelled = labelled_components(g, v)
+    if any(structurally_infeasible(sub, d) for _, sub in labelled[2] if sub.n > d):
+        return None
+    parts = restrict_forest(t, labelled)
+    return parts if all(count_elim_forests(sub, subt, d) for _, sub, subt in parts if sub.n > d) else None
 
 
-def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
-    """The first vertex v, in index order, such that g-v fits budget d-1, or
-    the certified None when there is none: every g-v failed on a component
-    the structural filter refutes or whose exact count is zero."""
+def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int, Parts] | None:
+    """The first vertex v, in index order, such that g-v fits budget d-1, with
+    d-1 and the parts of g-v, or the certified None when there is none: every
+    g-v failed on a component the structural filter refutes or counts zero."""
     for v in range(g.n):
-        if fits(g, t, v, d - 1):
-            return v, d - 1
+        parts = fits(g, t, v, d - 1)
+        if parts is not None:
+            return v, d - 1, parts
     return None
 
 

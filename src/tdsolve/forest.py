@@ -2,8 +2,8 @@
 subtree sizes, elimination-forest validation (O(n + m), by preorder
 intervals), the counter's skeleton tree, and the surgeries used by both
 solver drivers (the split of a graph, less at most one vertex, and its
-forest into components from one component labelling, contraction
-expansion, simplicial lifting).
+forest into components from one labelling, or of the forest alone on a
+given labelling; contraction expansion, simplicial lifting).
 
 A parent of -1 marks a root, in the arrays forests are built from and in
 what `RootedForest.parent` and `PrefixTree.add_child` take and return.
@@ -171,21 +171,27 @@ def validate_elimination_forest(g: Graph, f: RootedForest, d: int) -> bool:
     return unbound_edge(g, f) is None
 
 
-def split_components(g: Graph, t: RootedForest, drop: int = -1) -> list[tuple[list[int], Graph, RootedForest]]:
+Parts = list[tuple[list[int], Graph, RootedForest]]
+
+
+def split_components(g: Graph, t: RootedForest, drop: int = -1) -> Parts:
     """(sorted vertex list in g's indices, induced subgraph, restricted
-    forest) for each component of g-drop, ordered by least vertex.  The
-    parent of a vertex in its component's forest is its deepest proper
-    t-ancestor inside that component, so depths never increase, and the
-    children of drop adopt its parent.  A connected g with nothing dropped
-    comes back with its own g and t, since restricting to one component
-    keeps every parent."""
-    comp, local, comps = labelled_components(g, drop)
+    forest) for each component of g-drop, ordered by least vertex.  A
+    vertex's parent there is its deepest proper t-ancestor in the component,
+    so depths never increase; a connected g with nothing dropped comes back
+    with its own g and t, since that restriction keeps every parent."""
+    _, _, comps = labelled = labelled_components(g, drop)
     if len(comps) == 1 and drop < 0:
         return [(comps[0][0], g, t)]
+    return restrict_forest(t, labelled)
+
+
+def restrict_forest(t: RootedForest, labelled) -> Parts:
+    """split_components(g, t, drop), given labelled_components(g, drop)."""
+    comp, local, comps = labelled
     tparent = t._parent
     parents = [[] for _ in comps]
-    for v in range(g.n):  # ascending, so each component's vertices in list order
-        c = comp[v]
+    for v, c in enumerate(comp):  # ascending, so each component's vertices in list order
         if c < 0:
             continue
         p = tparent[v]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .construct import build_guided, build_over_shallower, fits
 from .counting import count_elim_trees
-from .forest import RootedForest
+from .forest import Parts, RootedForest
 from .graph import Graph, recorded_lower_bound, structurally_infeasible
 
 
@@ -119,9 +119,9 @@ def _class_counts(g: Graph, t: RootedForest, d: int, members: list[int]) -> tupl
     return total, den, num
 
 
-def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> int | None:
-    """Find some feasible root of a depth-d elimination tree of the connected
-    graph g by random color isolation.
+def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> tuple[int, int, Parts] | None:
+    """A feasible root v of a depth-d elimination tree of the connected g,
+    by random color isolation, with d-1 and the parts of g-v (as fits).
 
     Each coloring round tries its color classes from the smallest up.  A
     class of two or more gets an indicator-weighted and an index-weighted
@@ -135,8 +135,6 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
     at d, and a zero one returns None: g does not fit d.
     """
     n = g.n
-    if n == 1:
-        return 0
     rng = ctx.rng
     colors = color_count(n, d)
     for _ in range(MAX_COLOR_DOUBLINGS + 1):
@@ -156,11 +154,11 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
                     if one_based is None or not 1 <= one_based <= n or coloring[one_based - 1] != c:
                         continue
                     v = one_based - 1
-                # certify through g-v at d-1 as the exact scan does; a failure
-                # means a wrong candidate
-                if fits(g, t, v, d - 1):
+                # certified as the exact scan does; a failure means a wrong candidate
+                parts = fits(g, t, v, d - 1)
+                if parts is not None:
                     ctx.roots_found += 1
-                    return v
+                    return v, d - 1, parts
         if colors >= n:
             break
         colors = min(2 * colors, n)
@@ -174,12 +172,9 @@ def colorcoding_root_finder(ctx: RunContext):
     returns is certified through g-v, and the packed count of a class of
     two or more carries it."""
 
-    def find_root(g: Graph, t: RootedForest, d: int) -> tuple[int, int] | None:
+    def find_root(g: Graph, t: RootedForest, d: int) -> tuple[int, int, Parts] | None:
         dstar = determine_exact_depth(g, t, d)
-        if dstar is None:
-            return None
-        root = find_root_colorcoding(g, t, dstar, ctx)
-        return None if root is None else (root, dstar - 1)
+        return None if dstar is None else find_root_colorcoding(g, t, dstar, ctx)
 
     return find_root
 

@@ -1,11 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdsolve import construct
+from tdsolve import construct, graph, linear
 from tdsolve.construct import construct_elim_forest, descend, find_root_exact, fits, solve_deterministic
 from tdsolve.counting import count_elim_forests
-from tdsolve.forest import RootedForest, merge_forests, validate_elimination_forest
+from tdsolve.forest import RootedForest, merge_forests, split_components, validate_elimination_forest
 from tdsolve.graph import (
     centroid_forest,
     connected_components,
@@ -33,6 +35,14 @@ from tdsolve.oracle import (
 
 def chain(n):
     return RootedForest([i - 1 for i in range(n)])
+
+
+def assert_same_parts(got, want):
+    """Two splits agree part by part: vertex lists, adjacency and restricted
+    parents."""
+    assert [verts for verts, _, _ in got] == [verts for verts, _, _ in want]
+    assert [sub.adj for _, sub, _ in got] == [sub.adj for _, sub, _ in want]
+    assert [subt for _, _, subt in got] == [subt for _, _, subt in want]
 
 
 def test_k2_infeasible_at_depth_one():
@@ -111,7 +121,8 @@ def test_root_scan_returns_first_feasible_root():
                 assert found is None
             else:
                 v = next(v for v in range(g.n) if brute_td(minus_vertex(g, v)) <= d - 1)
-                assert found == (v, d - 1)
+                assert found[:2] == (v, d - 1)
+                assert_same_parts(found[2], split_components(g, t, v))
 
 
 def test_fits_is_a_nonzero_count():
@@ -120,16 +131,82 @@ def test_fits_is_a_nonzero_count():
     # the forest (test_positivity_independent_of_auxiliary_tree), so the
     # reference counts g-v over its own DFS forest.  Counts never fall as
     # the budget grows, so once one is positive the larger budgets need no
-    # reference count
+    # reference count.  A split fits returns is the driver's next level, so
+    # it must be the split of g-v
     for g in connected_graphs_up_to(6):
         for v in range(g.n):
             gv = minus_vertex(g, v)
             tv = dfs_elimination_forest(gv)
             for t in (dfs_elimination_forest(g), centroid_forest(g)):
+                split = split_components(g, t, v)
                 count = 0
                 for d in range(g.n + 1):
                     count = count or count_elim_forests(gv, tv, d)
-                    assert fits(g, t, v, d) == (count != 0), (g, v, d)
+                    parts = fits(g, t, v, d)
+                    assert (parts is not None) == (count != 0), (g, v, d)
+                    if parts is not None:
+                        assert_same_parts(parts, split)
+
+
+def test_the_driver_recurses_on_the_split_that_certified_each_root(monkeypatch):
+    # build_forest labels only its own graph; every other labelling is the
+    # one of g-v in a fits call, or a counted component's inside its count.
+    # The parts a root comes with are the graphs the filter bounded, so the
+    # depth scan computes a bound only on a graph too small to be filtered
+    labels, scans, scanned, computed = [], [], [], []
+    calls = {"build_forest": 0, "fits": 0, "labels_in_counts": 0}
+    real_labels, real_bound = graph.component_labels, graph._lower_bound
+    real_count, real_scan = construct.count_elim_forests, linear.determine_exact_depth
+
+    def labelling(g, drop=-1):
+        labels.append(g.n)
+        return real_labels(g, drop)
+
+    def bounding(g, d):
+        if scans and scans[-1][0] is g:
+            computed.append((g.n, scans[-1][1]))
+        return real_bound(g, d)
+
+    def counting(*args, **kwargs):
+        before = len(labels)
+        try:
+            return real_count(*args, **kwargs)
+        finally:
+            calls["labels_in_counts"] += len(labels) - before
+
+    def scanning(g, t, d):
+        scans.append((g, d))
+        scanned.append((g.n, d))
+        try:
+            return real_scan(g, t, d)
+        finally:
+            scans.pop()
+
+    def tallied(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    monkeypatch.setattr(graph, "component_labels", labelling)
+    monkeypatch.setattr(graph, "_lower_bound", bounding)
+    monkeypatch.setattr(construct, "count_elim_forests", counting)
+    monkeypatch.setattr(linear, "determine_exact_depth", scanning)
+    tallied(construct, "build_forest")
+    for module in (construct, linear):
+        tallied(module, "fits")
+    g = random_tree(12, 7)  # td 3, and its roots leave several components
+    for randomized in (False, True):
+        labels.clear()
+        calls.update(dict.fromkeys(calls, 0))
+        f = linear.solve_randomized(g, 3, random.Random(1)) if randomized else solve_deterministic(g, 3)
+        assert f is not None
+        assert calls["build_forest"] == 1 and calls["fits"] and calls["labels_in_counts"]
+        assert len(labels) == calls["build_forest"] + calls["fits"] + calls["labels_in_counts"]
+    assert any(n > d for n, d in scanned)  # graphs the filter had bounded
+    assert all(n <= d for n, d in computed), computed
 
 
 def test_an_invalid_forest_is_never_returned(monkeypatch):
@@ -139,7 +216,7 @@ def test_an_invalid_forest_is_never_returned(monkeypatch):
 
     def keep_budget(g, t, d):
         found = real(g, t, d)
-        return None if found is None else (found[0], d)
+        return None if found is None else (found[0], d, found[2])
 
     monkeypatch.setattr(construct, "find_root_exact", keep_budget)
     with pytest.raises(AssertionError, match="invalid forest"):

@@ -124,15 +124,17 @@ def test_determine_exact_depth_examples():
 def test_find_root_p3():
     g = path(3)
     t = solve_deterministic(g, 2)
-    root = find_root_colorcoding(g, t, 2, ctx=ctx_for(g, 2))
+    root, budget, parts = find_root_colorcoding(g, t, 2, ctx=ctx_for(g, 2))
     assert root == 1  # unique candidate: the middle vertex
+    assert budget == 1 and [verts for verts, _, _ in parts] == [[0], [2]]
 
 
 def test_find_root_star_center():
     g = complete_bipartite(1, 3)  # center is vertex 0
     t = solve_deterministic(g, 2)
-    root = find_root_colorcoding(g, t, 2, ctx=ctx_for(g, 2))
+    root, budget, parts = find_root_colorcoding(g, t, 2, ctx=ctx_for(g, 2))
     assert root == 0
+    assert budget == 1 and [verts for verts, _, _ in parts] == [[1], [2], [3]]
 
 
 def test_found_roots_always_candidates():
@@ -141,12 +143,12 @@ def test_found_roots_always_candidates():
         t = solve_deterministic(g, td)
         candidates = frozenset(candidate_roots(g, td))
         assert len(candidates) >= 1
-        root = find_root_colorcoding(g, t, td, ctx=ctx_for(g, td, seed=3))
+        found = find_root_colorcoding(g, t, td, ctx=ctx_for(g, td, seed=3))
         if g.n == 1:
-            assert root == 0
+            assert found == (0, 0, [])
             continue
-        assert root is not None
-        assert root in candidates
+        assert found is not None
+        assert found[0] in candidates and found[1] == td - 1
 
 
 def test_construct_linear_p3():
@@ -506,7 +508,7 @@ def test_color_coding_gives_up_after_the_last_color_count(monkeypatch):
     # no class ever names a certified vertex, so every count runs its
     # retries: 1, 2, 4, 7 colors on path(7); 1, 2, ..., 256 on path(600),
     # where the doublings run out before the count reaches n
-    monkeypatch.setattr(linear, "fits", lambda *args: False)
+    monkeypatch.setattr(linear, "fits", lambda *args: None)
     monkeypatch.setattr(linear, "_class_counts", lambda *args: (1, 0, 0))
     monkeypatch.setattr(linear, "color_count", lambda n, d: 1)
     for n, counts in [(7, 4), (600, 1 + linear.MAX_COLOR_DOUBLINGS)]:

@@ -14,3 +14,13 @@ def test_false_negatives_script_runs():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("3 runs on 3 positive instances: "), out.stdout
+
+
+def test_time_cases_script_runs():
+    script = os.path.join(SCRIPTS, "time_cases.py")
+    cases = ["det-k44-d4", "det-path15-d4", "rand-cycle12-d4", "split-rg5000"]
+    out = subprocess.run([sys.executable, script, "--runs", "1", "--case", *cases],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split()[0] for line in out.stdout.splitlines() if line and not line[0].isspace()][1:]
+    assert rows == cases, out.stdout
