@@ -35,8 +35,9 @@ needs no recursion at all: each allowed move contributes exactly one
 mapping, so its polynomial is the two popcounts of those masks.
 
 Everything runs in space polynomial in the input: the recursion depth is
-bounded by the depth of T, frames share one skeleton and one mapping
-(mutated and undone around each branch), and nothing is memoized.
+bounded by the depth of T, frames share one skeleton (grown and rolled back
+by fresh chains only) and one mapping, and nothing is memoized.  Every sum
+of polynomials is one polyring.poly_addmul, every product one poly_mul.
 
 A modular count is made in plain integers and reduced once, at the end.
 Reduction mod p is a ring homomorphism, so this gives the residues that a
@@ -52,9 +53,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .forest import PrefixTree, RootedForest, split_components, unbound_edge
+from .forest import RootedForest, split_components, unbound_edge
 from .graph import Graph
-from .polyring import ExactRing, poly_mul, poly_trim
+from .polyring import ExactRing, poly_addmul, poly_mul, poly_trim
 
 
 class SearchFrame(NamedTuple):
@@ -170,11 +171,14 @@ def _top_coefficients(
     depth = [t.depth_of(v) for v in range(n)]
     anc_nbrs = [tuple(w for w in g.adj[u] if depth[w] < depth[u]) for u in range(n)]
 
-    skeleton = PrefixTree(limit=d)
-    kparent = skeleton.parent
-    kdepth = skeleton.depth
-    kanc = skeleton.anc
-    kdesc = skeleton.desc
+    # the skeleton K, grown and rolled back by fresh() alone: parents (-1 at
+    # a root), ancestor and descendant bitmasks (each with the vertex itself;
+    # a depth is the popcount of the ancestor mask), and the mask of depth-d
+    # vertices, below which nothing hangs
+    kparent: list[int] = []
+    kanc: list[int] = []
+    kdesc: list[int] = []
+    full = 0
     phi = [-1] * n
 
     bound_limits = None
@@ -208,38 +212,38 @@ def _top_coefficients(
         signs over the subsets opened for reuse, and the chain length is
         repaid by shifting down.  Only the tip at skeleton index 0 picks up
         u's weight."""
-        base = skeleton.add_child(w)
-        weight = wts[u]
-        for p in range(1, maxp + 1):
-            tip = base + p - 1
+        nonlocal full
+        base = len(kparent)
+        anc = kanc[w] if w >= 0 else 0
+        for tip in range(base, base + maxp):
             tipbit = 1 << tip
-            interior = p - 1
-            inner: list = []
+            anc |= tipbit
+            kparent.append(w)
+            kanc.append(anc)
+            kdesc.append(tipbit)
+            v = w
+            while v >= 0:
+                kdesc[v] |= tipbit
+                v = kparent[v]
+            if anc.bit_count() >= d:
+                full |= tipbit
+            interior = tip - base
+            scale = wts[u] if tip == 0 else 1
+            phi[u] = tip
             for bm in range(1 << interior):
-                phi[u] = tip
                 val = placed(u, allowed | (bm << base) | tipbit)
-                phi[u] = -1
-                if not val:
-                    continue
-                if tip == 0 and weight != 1:
-                    val = [c * weight for c in val]
-                if len(inner) < len(val):
-                    inner.extend([0] * (len(val) - len(inner)))
-                if (interior - bm.bit_count()) & 1:
-                    for i, c in enumerate(val):
-                        inner[i] -= c
-                else:
-                    for i, c in enumerate(val):
-                        inner[i] += c
-            if len(inner) > interior:
-                extra = inner[interior:]
-                if len(out) < len(extra):
-                    out.extend([0] * (len(extra) - len(out)))
-                for i, c in enumerate(extra):
-                    out[i] += c
-            if p < maxp:
-                skeleton.add_child(tip)
-        skeleton.truncate(base)
+                if val:
+                    poly_addmul(out, val, -interior, -scale if (interior - bm.bit_count()) & 1 else scale)
+            w = tip
+        phi[u] = -1
+        # only the ancestors of the chain's attachment point see its bits
+        keep = (1 << base) - 1
+        full &= keep
+        v = kparent[base]
+        del kparent[base:], kanc[base:], kdesc[base:]
+        while v >= 0:
+            kdesc[v] &= keep
+            v = kparent[v]
 
     def pending(u: int, allowed: int) -> list:
         # u must be comparable with the image c of each ancestor-neighbour:
@@ -247,7 +251,7 @@ def _top_coefficients(
         # comparable only with the ancestors of its attachment point, which
         # must lie below every c, at a depth less than d
         reuse = allowed
-        attach = ((1 << len(kparent)) - 1) & ~skeleton.full
+        attach = ((1 << len(kparent)) - 1) & ~full
         for nb in anc_nbrs[u]:
             c = phi[nb]
             below = kdesc[c]
@@ -274,15 +278,7 @@ def _top_coefficients(
                 val = placed(u, allowed)
                 phi[u] = -1
                 if val:
-                    need = len(val) + 1
-                    if len(out) < need:
-                        out.extend([0] * (need - len(out)))
-                    if kv == 0 and weight != 1:
-                        for i, c in enumerate(val):
-                            out[i + 1] += c * weight
-                    else:
-                        for i, c in enumerate(val):
-                            out[i + 1] += c
+                    poly_addmul(out, val, 1, weight if kv == 0 else 1)
             del out[cap:]
 
             # fresh chains, no longer than the remaining subtree can cover
@@ -290,7 +286,7 @@ def _top_coefficients(
                 bit = attach & -attach
                 attach ^= bit
                 w = bit.bit_length() - 1
-                maxp = d - kdepth[w]
+                maxp = d - kanc[w].bit_count()
                 fresh(u, w, maxp if maxp < rem else rem, allowed, out)
 
         out = poly_trim(out)

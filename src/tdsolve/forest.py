@@ -1,15 +1,15 @@
 """Rooted forests on dense 0-indexed vertex sets: depths, preorder and
 subtree sizes, elimination-forest validation (O(n + m), by preorder
-intervals), the counter's skeleton tree, and the surgeries used by both
-solver drivers (the split of a graph, less at most one vertex, and its
-forest into components from one labelling, or of the forest alone on a
-given labelling; contraction expansion, simplicial lifting).
+intervals), and the surgeries used by both solver drivers (the split of a
+graph, less at most one vertex, and its forest into components from one
+labelling, or of the forest alone on a given labelling; contraction
+expansion, simplicial lifting).
 
 A parent of -1 marks a root, in the arrays forests are built from and in
-what `RootedForest.parent` and `PrefixTree.add_child` take and return.
-Forests are immutable after construction.  Operations that shrink or grow
-the vertex set reindex it the same way graph operations do: surviving
-vertices keep their relative order.
+what `RootedForest.parent` returns.  Forests are immutable after
+construction, so the one-vertex parts of a split share one forest.
+Operations that shrink or grow the vertex set reindex it the same way graph
+operations do: surviving vertices keep their relative order.
 """
 
 from __future__ import annotations
@@ -91,58 +91,6 @@ class RootedForest:
         return f"RootedForest({self._parent})"
 
 
-class PrefixTree:
-    """Small rooted skeleton tree with its own index space, grown and shrunk
-    by appending and popping downward chains.  Ancestor and descendant sets
-    are kept as bitmasks (each at most a few machine words for realistic
-    depth budgets), and `full` is the bitmask of the vertices at depth
-    `limit` or deeper, below which no chain may be hung.
-    """
-
-    __slots__ = ("parent", "depth", "anc", "desc", "full", "limit")
-
-    def __init__(self, limit: int):
-        self.parent: list[int] = []
-        self.depth: list[int] = []
-        self.anc: list[int] = []  # bitmask of ancestors including self
-        self.desc: list[int] = []  # bitmask of descendants including self
-        self.full = 0
-        self.limit = limit
-
-    def add_child(self, w: int) -> int:
-        """Append a vertex below w (a new root when w is -1); returns its index."""
-        idx = len(self.parent)
-        bit = 1 << idx
-        if w < 0:
-            self.parent.append(-1)
-            self.depth.append(1)
-            self.anc.append(bit)
-        else:
-            self.parent.append(w)
-            self.depth.append(self.depth[w] + 1)
-            self.anc.append(self.anc[w] | bit)
-        self.desc.append(bit)
-        desc, parent = self.desc, self.parent
-        while w >= 0:
-            desc[w] |= bit
-            w = parent[w]
-        if self.depth[idx] >= self.limit:
-            self.full |= bit
-        return idx
-
-    def truncate(self, length: int) -> None:
-        """Drop every vertex with index length or more."""
-        del self.parent[length:]
-        del self.depth[length:]
-        del self.anc[length:]
-        del self.desc[length:]
-        keep = (1 << length) - 1
-        desc = self.desc
-        for i in range(length):
-            desc[i] &= keep
-        self.full &= keep
-
-
 def unbound_edge(g: Graph, f: RootedForest) -> tuple[int, int] | None:
     """The first edge of g, in g.edges() order, whose endpoints f leaves
     unrelated, or None when f binds every edge; f must span V(g).
@@ -173,6 +121,8 @@ def validate_elimination_forest(g: Graph, f: RootedForest, d: int) -> bool:
 
 Parts = list[tuple[list[int], Graph, RootedForest]]
 
+_ONE_VERTEX = RootedForest([-1])
+
 
 def split_components(g: Graph, t: RootedForest, drop: int = -1) -> Parts:
     """(sorted vertex list in g's indices, induced subgraph, restricted
@@ -198,7 +148,8 @@ def restrict_forest(t: RootedForest, labelled) -> Parts:
         while p >= 0 and comp[p] != c:
             p = tparent[p]
         parents[c].append(local[p] if p >= 0 else -1)
-    return [(verts, sub, RootedForest(parent)) for (verts, sub), parent in zip(comps, parents)]
+    forests = [RootedForest(parent) if len(parent) > 1 else _ONE_VERTEX for parent in parents]
+    return [(verts, sub, f) for (verts, sub), f in zip(comps, forests)]
 
 
 def merge_forests(parts) -> RootedForest:

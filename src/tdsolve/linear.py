@@ -79,14 +79,6 @@ def determine_exact_depth(g: Graph, t: RootedForest, d: int) -> int | None:
     return d
 
 
-def _recover_index(num: int, den: int) -> int | None:
-    """The weighted/unweighted count ratio as a 1-based index, or None when
-    the division fails (zero or non-integral denominator)."""
-    if den == 0 or num % den != 0:
-        return None
-    return num // den
-
-
 def _class_counts(g: Graph, t: RootedForest, d: int, members: list[int]) -> tuple[int, int, int]:
     """The plain, indicator and index counts (total, den, num) of a color
     class of the connected graph g: the tree counts weighted by 1 on every
@@ -150,10 +142,11 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
                     total, den, num = _class_counts(g, t, d, members)
                     if total == 0:
                         return None
-                    one_based = _recover_index(num, den)
-                    if one_based is None or not 1 <= one_based <= n or coloring[one_based - 1] != c:
+                    if den == 0 or num % den:
                         continue
-                    v = one_based - 1
+                    v = num // den - 1  # the class's root, when it holds exactly one
+                    if not 0 <= v < n or coloring[v] != c:
+                        continue
                 # certified as the exact scan does; a failure means a wrong candidate
                 parts = fits(g, t, v, d - 1)
                 if parts is not None:

@@ -1,10 +1,10 @@
-"""Coefficient rings, the coefficient-list multiply kernel, primality and
-prime sampling.
+"""Coefficient rings, the coefficient-list multiply and multiply-and-
+accumulate kernels, primality and prime sampling.
 
 Polynomials are dense little-endian coefficient lists with all degrees at or
 above the cap discarded.  The zero polynomial is the empty list and
 coefficient lists carry no trailing zeros.  The counting engine calls
-`poly_mul` and `poly_trim` on its hot path, in exact integers.
+`poly_mul`, `poly_addmul` and `poly_trim` on its hot path, in exact integers.
 """
 
 from __future__ import annotations
@@ -72,6 +72,20 @@ def poly_mul(a: list, b: list, cap: int) -> list:
         for j in range(top):
             out[i + j] += ca * b[j]
     return poly_trim(out)
+
+
+def poly_addmul(out: list, val: list, shift: int, scale: int) -> None:
+    """out += scale * x^shift * val in place, for a shift of either sign:
+    out grows as needed, terms that would land below x^0 are dropped, and
+    any trailing zeros are left for poly_trim."""
+    if shift < 0:
+        val = val[-shift:]
+        shift = 0
+    grow = len(val) + shift - len(out)
+    if grow > 0:
+        out += [0] * grow
+    for i, c in enumerate(val, shift):
+        out[i] += scale * c
 
 
 # ---------------------------------------------------------------------------

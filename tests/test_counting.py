@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdsolve.counting import (
+    CoefficientBoundError,
     count_elim_forests,
     count_elim_trees,
     eval_h,
@@ -216,6 +217,26 @@ def test_coefficient_bounds_hold_on_small_runs():
         t = dfs_elimination_forest(g)
         for d in range(1, 5):
             count_elim_trees(g, t, d, check_bounds=True)  # raises on violation
+
+
+def test_an_inflated_product_breaks_the_bound_with_its_frame(monkeypatch):
+    from tdsolve import counting
+
+    real = counting.poly_mul
+
+    def inflated(a, b, cap):
+        out = real(a, b, cap) or [0]
+        out[0] += 10**30
+        return out
+
+    monkeypatch.setattr(counting, "poly_mul", inflated)
+    # t's root 1 has two children, so placing it multiplies their polynomials
+    g, t = path(3), RootedForest([1, -1, 1])
+    with pytest.raises(CoefficientBoundError) as err:
+        count_elim_trees(g, t, 2, check_bounds=True)
+    frame = err.value.frame
+    assert frame.vertex == 1 and (1, 0) in frame.mapping
+    assert isinstance(frame.skeleton_parents, tuple) and frame.skeleton_parents[0] == -1
 
 
 def test_bound_checking_requires_exact_unweighted():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from tdsolve import oracle
 from tdsolve.forest import (
-    PrefixTree,
     RootedForest,
     expand_contracted_forest,
     lift_simplicial,
@@ -34,6 +33,7 @@ from tdsolve.oracle import (
     complete_bipartite,
     cycle,
     descendants,
+    disjoint_union,
     empty_graph,
     is_ancestor,
     parent_array,
@@ -375,55 +375,34 @@ def test_count_elim_forests_on_a_connected_graph_skips_restriction(monkeypatch):
         raise AssertionError("RootedForest built")
 
     cases = [(g, dfs_elimination_forest(g)) for g in connected_graphs_up_to(5)]
-    two, t2 = empty_graph(2), chain(2)
+    # a disconnected input with a part of two vertices, whose forest is built
+    split, tsplit = disjoint_union(path(2), empty_graph(1)), RootedForest([-1, 0, -1])
     monkeypatch.setattr(forest, "RootedForest", refuse)
     for g, t in cases:
         for d in range(1, 4):
             assert count_elim_forests(g, t, d) == count_elim_trees(g, t, d)
     with pytest.raises(AssertionError, match="RootedForest built"):
-        count_elim_forests(two, t2, 1)
+        count_elim_forests(split, tsplit, 1)
 
 
-def test_prefix_tree_chain_extension_and_rollback():
-    k = PrefixTree(limit=3)
-    root = k.add_child(-1)
-    a = k.add_child(root)
-    b = k.add_child(a)
-    assert (k.depth[root], k.depth[a], k.depth[b]) == (1, 2, 3)
-    assert k.anc[b] >> root & 1 and k.anc[b] >> a & 1
-    side = k.add_child(root)
-    assert not (k.anc[side] >> a & 1 or k.anc[a] >> side & 1)
-    k.truncate(3)
-    assert k.parent == [-1, 0, 1]
+def test_one_vertex_parts_share_one_forest(monkeypatch):
+    # every leaf of a star is a one-vertex part once the centre is dropped
+    from tdsolve import forest
+    from tdsolve.construct import solve_deterministic
 
+    built = []
 
-def test_prefix_tree_masks_follow_chain_pushes_and_truncation():
-    # as the counter's fresh chains do: hang a chain below a vertex above the
-    # depth limit (a new root when the tree is empty), and undo chains in
-    # reverse order; desc and full must always match parent and depth
-    limit = 3
-    for seed in range(30):
-        rng = random.Random(seed)
-        k = PrefixTree(limit=limit)
-        bases = []
-        for _ in range(40):
-            roomy = [w for w in range(len(k.parent)) if k.depth[w] < limit]
-            if bases and (rng.random() < 0.4 or (len(k.parent) and not roomy)):
-                k.truncate(bases.pop())
-            else:
-                bases.append(len(k.parent))
-                w = rng.choice(roomy) if len(k.parent) else -1
-                room = limit - (k.depth[w] if w >= 0 else 0)
-                for _ in range(rng.randint(1, room)):
-                    w = k.add_child(w)
-            desc = [0] * len(k.parent)
-            for v in range(len(k.parent)):
-                u = v
-                while u >= 0:
-                    desc[u] |= 1 << v
-                    u = k.parent[u]
-            assert k.desc == desc
-            assert k.full == sum(1 << v for v in range(len(k.parent)) if k.depth[v] >= limit)
+    class Counted(forest.RootedForest):
+        __slots__ = ()
+
+        def __init__(self, parent):
+            built.append(len(parent))
+            super().__init__(parent)
+
+    monkeypatch.setattr(forest, "RootedForest", Counted)
+    f = solve_deterministic(complete_bipartite(1, 50), 2)
+    assert f is not None and f.max_depth == 2
+    assert len(built) < 10, built
 
 
 def test_sensible_tree_exists_at_optimal_depth_small():

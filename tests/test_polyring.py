@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdsolve import polyring
-from tdsolve.polyring import ModularRing, is_prime, poly_mul, poly_trim, sample_prime
+from tdsolve.polyring import ModularRing, is_prime, poly_addmul, poly_mul, poly_trim, sample_prime
 
 
 def test_mul_clips_at_cap():
@@ -40,6 +40,23 @@ def test_low_level_mul_matches_schoolbook(a, b):
     while ref and ref[-1] == 0:
         ref.pop()
     assert got == ref
+
+
+@given(
+    st.lists(st.integers(-50, 50), max_size=6),
+    st.lists(st.integers(-50, 50), max_size=6),
+    st.integers(-4, 4),
+    st.sampled_from([0, 1, 2**200]) | st.integers(-(2**200), -1),
+)
+def test_addmul_matches_a_dict_of_degrees(out, val, shift, scale):
+    ref = dict(enumerate(out))
+    for i, c in enumerate(val):
+        if i + shift >= 0:
+            ref[i + shift] = ref.get(i + shift, 0) + scale * c
+    got, before = list(out), list(val)
+    poly_addmul(got, val, shift, scale)
+    assert val == before
+    assert poly_trim(got) == poly_trim([ref.get(i, 0) for i in range(max(ref, default=-1) + 1)])
 
 
 @given(

@@ -24,3 +24,15 @@ def test_time_cases_script_runs():
     assert out.returncode == 0, out.stderr
     rows = [line.split()[0] for line in out.stdout.splitlines() if line and not line[0].isspace()][1:]
     assert rows == cases, out.stdout
+
+
+def test_same_output_script_runs(tmp_path):
+    script = os.path.join(SCRIPTS, "same_output.py")
+    dumps = [str(tmp_path / f"{i}.json") for i in range(2)]
+    for dump in dumps:
+        out = subprocess.run([sys.executable, script, "dump", "--workload", "det-small", "--seed", "1", "--out", dump],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+    out = subprocess.run([sys.executable, script, "diff", *dumps], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stdout
+    assert out.stdout.strip().endswith("0 of 1280 instances differ"), out.stdout
