@@ -33,6 +33,8 @@ bounded cases need a tree whose oracle has that generator):
   rand-k2x200-d3      solve_randomized(complete_bipartite(2, 200), 3)
   rand-bounded800-d3  solve_randomized(bounded(800, 3, 1), 3)
   rand-bounded400-d4  solve_randomized(bounded(400, 4, 1), 4)
+  rand-bounded1600-d3 solve_randomized(bounded(1600, 3, 1), 3)
+  rand-star2000-d2    solve_randomized(complete_bipartite(1, 1999), 2)
   rand-k44-d4         solve_randomized(complete_bipartite(4, 4), 4),
                       infeasible: passes the structural filter, refuted by
                       the color-coding finder's first packed count
@@ -78,6 +80,8 @@ CASES = {
     "rand-k2x200-d3": ("randomized", "complete_bipartite", (2, 200), 3),
     "rand-bounded800-d3": ("randomized", "bounded", (800, 3, 1), 3),
     "rand-bounded400-d4": ("randomized", "bounded", (400, 4, 1), 4),
+    "rand-bounded1600-d3": ("randomized", "bounded", (1600, 3, 1), 3),
+    "rand-star2000-d2": ("randomized", "complete_bipartite", (1, 1999), 2),
     "rand-k44-d4": ("randomized", "complete_bipartite", (4, 4), 4),
     "det-cycle12-d5": ("deterministic", "cycle", (12,), 5),
     "det-cycle12-d4": ("deterministic", "cycle", (12,), 4),
@@ -185,7 +189,7 @@ def main() -> int:
             found = depth[(name, src)]
             shown = "/".join("none" if x is None else str(x) for x in sorted(found, key=str))
             cells.append(f"{statistics.median(times):8.3f} {max(times):8.3f} s  depth {shown:4}")
-        print(f"{name:18} " + "   ".join(cells).rstrip())
+        print(f"{name:19} " + "   ".join(cells).rstrip())
     return 0
 
 

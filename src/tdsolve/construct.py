@@ -13,7 +13,8 @@ d exactly when some g-v has depth at most d-1, so an exhausted scan
 certifies the verdict None (exact counts give no false negatives).  Both
 solvers certify a root through fits, which labels g-v once, settles its
 components by size or by the structural filter where it can, and restricts
-t to them and counts only where neither refutes."""
+t to them and counts only where neither refutes, each part over the
+shallower of its restriction and its centroid forest."""
 
 from __future__ import annotations
 
@@ -75,11 +76,11 @@ def build_forest(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> Ro
     return RootedForest(parent) if place(split_components(g, t), range(g.n), d, -1) else None
 
 
-def build_over_shallower(g: Graph, t: RootedForest, d: int, find_root: RootFinder) -> RootedForest | None:
-    """build_forest over the shallower of t and the centroid forest of g (t
-    on a tie): counting cost grows steeply with the depth of the auxiliary
-    forest, and any valid one will do."""
-    return build_forest(g, min(t, centroid_forest(g), key=lambda f: f.max_depth), d, find_root)
+def shallower(g: Graph, t: RootedForest) -> RootedForest:
+    """The shallower of t and the centroid forest of g, t on a tie: counting
+    cost grows steeply with the depth of the auxiliary forest, and any valid
+    one will do."""
+    return min(t, centroid_forest(g), key=lambda f: f.max_depth)
 
 
 def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
@@ -89,10 +90,11 @@ def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
     Going down, each level's reduction step contracts a matching or lifts
     simplicial vertices, and the smaller graph is filtered before the next
     level; at most one vertex is left at the bottom.  Coming back up, each
-    level expands or lifts the forest of the level below and builds over it
-    with find_root.  A loop, not a recursion: the reduction lemma promises
-    only n/c(d) vertices per level, so the number of levels must not be
-    bounded by the interpreter's stack.
+    level expands or lifts the forest of the level below and builds over the
+    shallower of it and the level's centroid forest with find_root.  A loop,
+    not a recursion: the reduction lemma promises only n/c(d) vertices per
+    level, so the number of levels must not be bounded by the interpreter's
+    stack.
 
     With find_root_exact every None is certified, that is td(g) > d:
     - A lower level graph is a matching contraction of the one above (a
@@ -136,22 +138,31 @@ def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
             t = lift_simplicial(f, back, step.improved, list(step.vertices), d)
             if t is None:
                 return None
-        f = build_over_shallower(g, t, d, find_root)
+        f = build_forest(g, shallower(g, t), d, find_root)
         if f is None:
             return None
     return f
 
 
 def fits(g: Graph, t: RootedForest, v: int, d: int) -> Parts | None:
-    """split_components(g, t, v) if g-v fits depth d (count_elim_forests is
-    nonzero on it), else None.  From one labelling of g-v, a component of at
-    most d vertices fits, one that structurally_infeasible rejects does not,
-    and only once all pass is t restricted and the rest counted."""
+    """The parts of g-v if it fits depth d (count_elim_forests is nonzero on
+    it), else None.  From one labelling of g-v, a component of at most d
+    vertices fits, one that structurally_infeasible rejects does not, and
+    only once all pass is t restricted and the rest counted.
+
+    The parts are split_components(g, t, v), but each counted part comes
+    with the forest it was counted over, shallower(part, restriction)."""
     labelled = labelled_components(g, v)
     if any(structurally_infeasible(sub, d) for _, sub in labelled[2] if sub.n > d):
         return None
     parts = restrict_forest(t, labelled)
-    return parts if all(count_elim_forests(sub, subt, d) for _, sub, subt in parts if sub.n > d) else None
+    for i, (verts, sub, subt) in enumerate(parts):
+        if sub.n > d:
+            subt = shallower(sub, subt)
+            if not count_elim_forests(sub, subt, d):
+                return None
+            parts[i] = verts, sub, subt
+    return parts
 
 
 def find_root_exact(g: Graph, t: RootedForest, d: int) -> tuple[int, int, Parts] | None:

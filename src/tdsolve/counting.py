@@ -24,9 +24,15 @@ Two exact prunes keep the recursion from exploring provably-cancelling
 branches: a placement that violates an edge toward an already-placed
 neighbor dies immediately (equivalent to the leaf-time check because T binds
 every edge), and a fresh chain longer than u's remaining subtree is skipped
-because its interior could never be fully covered.  Degrees at or above the
-cap d*depth(T) cannot feed back into the free term, so coefficient lists
-stay short.
+because its interior could never be fully covered.
+
+Each frame computes only the degrees below its budget B.  On the way up a
+term gains one power per reuse move, loses L per fresh chain with interior
+L, and never loses degree in a product, so B - 1 is asked of a reuse move
+(none is made at B = 1), B + L of a chain and B of a product or leaf: what
+is cut would reach the top at degree B or more.  count_elim_trees starts
+at budget 1, for the free term; eval_h at the cap d*depth(T), which bounds
+every budget and at or above which no degree feeds back into the free term.
 
 pending(u) picks its moves by bitmask: the skeleton keeps ancestor and
 descendant masks, so one AND per placed ancestor-neighbour of u gives the
@@ -99,12 +105,13 @@ def count_elim_trees(
     With all weights 1 this is the plain number of such trees; in general it
     is the sum of vertex weights over feasible roots, each weighted by the
     number of sensible trees rooted there.  `ring` selects exact or modular
-    arithmetic; `cap` overrides the degree cap (default d * depth(t), which
-    is always sufficient).  A cap below min(d * depth(t), n + 1) raises
-    ValueError: it could cut off degrees the free term still needs, whereas
-    n + 1 is never reached, since a degree counts reused placements.
+    arithmetic.  The frames' degree budgets start at 1, for the free term,
+    and never exceed the degree cap, which `cap` overrides (default
+    d * depth(t), always sufficient).  A cap below min(d * depth(t), n + 1)
+    raises ValueError: it could cut off degrees the free term still needs,
+    whereas n + 1 is never reached, since a degree counts reused placements.
     """
-    coeffs = _top_coefficients(g, t, d, ring, weights, cap, check_bounds)
+    coeffs = _top_coefficients(g, t, d, ring, weights, cap, check_bounds, 1)
     return coeffs[0] if coeffs else 0
 
 
@@ -121,7 +128,7 @@ def eval_h(
     degree cap): its free term is the sensible-tree count, and the
     coefficient of the i-th power counts mappings with exactly i placement
     collisions.  `cap` is checked as in count_elim_trees."""
-    return tuple(_top_coefficients(g, t, d, ring, weights, cap, False))
+    return tuple(_top_coefficients(g, t, d, ring, weights, cap, False, None))
 
 
 def _top_coefficients(
@@ -132,9 +139,10 @@ def _top_coefficients(
     weights: list[int] | None,
     cap: int | None,
     check_bounds: bool,
+    budget: int | None,
 ) -> list:
-    """The top-level polynomial, normalized in the ring (exact by default)
-    and without trailing zeros."""
+    """The top-level polynomial below degree budget (the cap when None),
+    normalized in the ring (exact by default) and without trailing zeros."""
     ring = ring or ExactRing()
     n = g.n
     if n == 0:
@@ -194,24 +202,25 @@ def _top_coefficients(
                 )
                 raise CoefficientBoundError(frame, coeffs, limit)
 
-    def placed(u: int, allowed: int) -> list:
+    def placed(u: int, allowed: int, budget: int) -> list:
         kids = children[u]  # never empty: pending() closes off the leaves
-        acc = pending(kids[0], allowed)
+        acc = pending(kids[0], allowed, budget)
         for v in kids[1:]:
             if not acc:
                 return acc
-            acc = poly_mul(acc, pending(v, allowed), cap)
+            acc = poly_mul(acc, pending(v, allowed, budget), budget)
         if bound_limits is not None:
             check_coeffs(u, acc, bound_limits[u] // bound_base, allowed)
         return acc
 
-    def fresh(u: int, w: int, maxp: int, allowed: int, out: list) -> None:
-        """Add to out the placements of u at the tip of a fresh chain of 1 to
-        maxp vertices hung below skeleton vertex w (a new skeleton root when
-        w is -1).  The chain's interior vertices are summed with alternating
-        signs over the subsets opened for reuse, and the chain length is
-        repaid by shifting down.  Only the tip at skeleton index 0 picks up
-        u's weight."""
+    def fresh(u: int, w: int, maxp: int, allowed: int, budget: int, out: list) -> None:
+        """Add to out, below degree budget, the placements of u at the tip of
+        a fresh chain of 1 to maxp vertices hung below skeleton vertex w (a
+        new skeleton root when w is -1).  The chain's interior vertices are
+        summed with alternating signs over the subsets opened for reuse, and
+        an interior of L vertices is repaid by shifting down L (so placed()
+        gets budget + L).  Only the tip at skeleton index 0 picks up u's
+        weight."""
         nonlocal full
         base = len(kparent)
         anc = kanc[w] if w >= 0 else 0
@@ -229,9 +238,10 @@ def _top_coefficients(
                 full |= tipbit
             interior = tip - base
             scale = wts[u] if tip == 0 else 1
+            tip_budget = min(cap, budget + interior)
             phi[u] = tip
             for bm in range(1 << interior):
-                val = placed(u, allowed | (bm << base) | tipbit)
+                val = placed(u, allowed | (bm << base) | tipbit, tip_budget)
                 if val:
                     poly_addmul(out, val, -interior, -scale if (interior - bm.bit_count()) & 1 else scale)
             w = tip
@@ -245,7 +255,7 @@ def _top_coefficients(
             kdesc[v] &= keep
             v = kparent[v]
 
-    def pending(u: int, allowed: int) -> list:
+    def pending(u: int, allowed: int, budget: int) -> list:
         # u must be comparable with the image c of each ancestor-neighbour:
         # a reused image must lie above or below every c; a fresh tip is
         # comparable only with the ancestors of its attachment point, which
@@ -262,24 +272,23 @@ def _top_coefficients(
 
         if rem == 1:
             # a leaf of t: placed() is [1], and a fresh tip is never skeleton
-            # index 0, which the root of t took; cap >= 2 because t has depth
-            # at least 2 here
-            out = [attach.bit_count(), reuse.bit_count()]
-            if reuse & 1:
-                out[1] += weight - 1
+            # index 0, which the root of t took
+            out = [attach.bit_count()]
+            if budget > 1:
+                out.append(reuse.bit_count() + (weight - 1 if reuse & 1 else 0))
         else:
             out = []
-            # reuse moves
-            while reuse:
+            # reuse moves, each one power of the variable: none fits below
+            # degree 1
+            while reuse and budget > 1:
                 bit = reuse & -reuse
                 reuse ^= bit
                 kv = bit.bit_length() - 1
                 phi[u] = kv
-                val = placed(u, allowed)
+                val = placed(u, allowed, budget - 1)
                 phi[u] = -1
                 if val:
                     poly_addmul(out, val, 1, weight if kv == 0 else 1)
-            del out[cap:]
 
             # fresh chains, no longer than the remaining subtree can cover
             while attach:
@@ -287,7 +296,7 @@ def _top_coefficients(
                 attach ^= bit
                 w = bit.bit_length() - 1
                 maxp = d - kanc[w].bit_count()
-                fresh(u, w, maxp if maxp < rem else rem, allowed, out)
+                fresh(u, w, maxp if maxp < rem else rem, allowed, budget, out)
 
         out = poly_trim(out)
         if bound_limits is not None:
@@ -298,7 +307,7 @@ def _top_coefficients(
     # new skeleton
     r = t.roots[0]
     total: list = []
-    fresh(r, -1, min(d, tree_size[r]), 0, total)
+    fresh(r, -1, min(d, tree_size[r]), 0, cap if budget is None else budget, total)
     return poly_trim([ring.normalize(c) for c in total])
 
 

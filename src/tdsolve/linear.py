@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .construct import build_guided, build_over_shallower, fits
+from .construct import build_forest, build_guided, fits, shallower
 from .counting import count_elim_trees
 from .forest import Parts, RootedForest
 from .graph import Graph, recorded_lower_bound, structurally_infeasible
@@ -79,11 +79,11 @@ def determine_exact_depth(g: Graph, t: RootedForest, d: int) -> int | None:
     return d
 
 
-def _class_counts(g: Graph, t: RootedForest, d: int, members: list[int]) -> tuple[int, int, int]:
-    """The plain, indicator and index counts (total, den, num) of a color
-    class of the connected graph g: the tree counts weighted by 1 on every
-    vertex, by 1 on each member and 0 elsewhere, and by v + 1 on each member
-    v and 0 elsewhere.
+def _class_counts(g: Graph, t: RootedForest, d: int, members: list[int]) -> tuple[int, list[int]]:
+    """The plain tree count of the connected graph g and, for each member v
+    of a color class, the count N_v of the sensible trees rooted at v: the
+    tree counts weighted by 1 on every vertex, and by 1 on v and 0
+    elsewhere.
 
     The weighted free term is sum_u w(u) * N_u, where N_u counts the sensible
     trees rooted at u.  The kernel multiplies a term by w(u) each time it
@@ -95,20 +95,20 @@ def _class_counts(g: Graph, t: RootedForest, d: int, members: list[int]) -> tupl
     exactly one vertex at index 0: its root.  So the free term is linear in
     w, for any weights.
 
-    All three counts therefore come from one exact count.  Let
-    K = bit_length(n^(n-1)) + 1, give every vertex the weight 1 and each
-    member v also 2^K + (v + 1) * 2^(2K).  The count is then
-    total + (den << K) + (num << 2K).  The sensible trees are distinct
-    rooted trees on V(g), so den <= total <= n^(n-1) < 2^K by Cayley's
-    formula, and the three fields split apart exactly."""
+    All these counts therefore come from one exact count.  Let
+    K = bit_length(n^(n-1)) + 1, give every vertex the weight 1 and the i-th
+    member v (from i = 1) also 2^(K*i).  The count is then total plus
+    N_v << K*i over the members.  The sensible trees are distinct rooted
+    trees on V(g), so N_v <= total <= n^(n-1) < 2^K by Cayley's formula, and
+    every field splits off exactly."""
     n = g.n
     k = (n ** (n - 1)).bit_length() + 1
     packed = [1] * n
-    for v in members:
-        packed[v] = 1 + (1 << k) + ((v + 1) << 2 * k)
-    num, low = divmod(count_elim_trees(g, t, d, weights=packed), 1 << 2 * k)
-    den, total = divmod(low, 1 << k)
-    return total, den, num
+    for i, v in enumerate(members, 1):
+        packed[v] = 1 + (1 << k * i)
+    count = count_elim_trees(g, t, d, weights=packed)
+    mask = (1 << k) - 1
+    return count & mask, [count >> k * i & mask for i in range(1, len(members) + 1)]
 
 
 def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) -> tuple[int, int, Parts] | None:
@@ -116,9 +116,9 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
     by random color isolation, with d-1 and the parts of g-v (as fits).
 
     Each coloring round tries its color classes from the smallest up.  A
-    class of two or more gets an indicator-weighted and an index-weighted
-    count from one packed count, and their ratio names a vertex of that
-    color; a singleton names its vertex outright.  g minus that vertex
+    class of two or more gets the count of trees rooted at each member from
+    one packed count (_class_counts) and names its first member with a
+    nonzero one; a singleton names its vertex outright.  g minus that vertex
     fitting d-1 (construct.fits) certifies it.  Exhausting all retries
     (after the color-count doubling fallback) signals a probable false
     negative to the caller.
@@ -136,16 +136,14 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
             classes: dict[int, list[int]] = {}
             for v, c in enumerate(coloring):
                 classes.setdefault(c, []).append(v)
-            for c, members in sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0])):
+            for _, members in sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0])):
                 v = members[0]
                 if len(members) > 1:
-                    total, den, num = _class_counts(g, t, d, members)
+                    total, rooted = _class_counts(g, t, d, members)
                     if total == 0:
                         return None
-                    if den == 0 or num % den:
-                        continue
-                    v = num // den - 1  # the class's root, when it holds exactly one
-                    if not 0 <= v < n or coloring[v] != c:
+                    v = next((v for v, count in zip(members, rooted) if count), None)
+                    if v is None:
                         continue
                 # certified as the exact scan does; a failure means a wrong candidate
                 parts = fits(g, t, v, d - 1)
@@ -180,7 +178,7 @@ def construct_linear(
     negative of color coding).  The counts run over the shallower
     of t and the centroid forest of g."""
     ctx = new_run_context(g.n, d, LinearConfig(), rng or random.Random(0))
-    return build_over_shallower(g, t, d, colorcoding_root_finder(ctx))
+    return build_forest(g, shallower(g, t), d, colorcoding_root_finder(ctx))
 
 
 def solve_randomized(g: Graph, d: int, rng: random.Random | None = None) -> RootedForest | None:

@@ -37,12 +37,14 @@ def chain(n):
     return RootedForest([i - 1 for i in range(n)])
 
 
-def assert_same_parts(got, want):
-    """Two splits agree part by part: vertex lists, adjacency and restricted
-    parents."""
+def assert_parts_of_split(got, want):
+    """got splits the graph as want does, in vertex lists and adjacency, and
+    each of its parts comes with an elimination forest of that part no
+    deeper than want's restricted one."""
     assert [verts for verts, _, _ in got] == [verts for verts, _, _ in want]
     assert [sub.adj for _, sub, _ in got] == [sub.adj for _, sub, _ in want]
-    assert [subt for _, _, subt in got] == [subt for _, _, subt in want]
+    for (_, sub, subt), (_, _, restricted) in zip(got, want):
+        assert validate_elimination_forest(sub, subt, restricted.max_depth)
 
 
 def test_k2_infeasible_at_depth_one():
@@ -122,7 +124,7 @@ def test_root_scan_returns_first_feasible_root():
             else:
                 v = next(v for v in range(g.n) if brute_td(minus_vertex(g, v)) <= d - 1)
                 assert found[:2] == (v, d - 1)
-                assert_same_parts(found[2], split_components(g, t, v))
+                assert_parts_of_split(found[2], split_components(g, t, v))
 
 
 def test_fits_is_a_nonzero_count():
@@ -132,7 +134,8 @@ def test_fits_is_a_nonzero_count():
     # reference counts g-v over its own DFS forest.  Counts never fall as
     # the budget grows, so once one is positive the larger budgets need no
     # reference count.  A split fits returns is the driver's next level, so
-    # it must be the split of g-v
+    # it must be the split of g-v, each counted part with a forest no deeper
+    # than its restriction and each smaller part with the restriction
     for g in connected_graphs_up_to(6):
         for v in range(g.n):
             gv = minus_vertex(g, v)
@@ -145,7 +148,9 @@ def test_fits_is_a_nonzero_count():
                     parts = fits(g, t, v, d)
                     assert (parts is not None) == (count != 0), (g, v, d)
                     if parts is not None:
-                        assert_same_parts(parts, split)
+                        assert_parts_of_split(parts, split)
+                        for (_, sub, subt), (_, _, restricted) in zip(parts, split):
+                            assert sub.n > d or subt == restricted
 
 
 def test_the_driver_recurses_on_the_split_that_certified_each_root(monkeypatch):

@@ -11,7 +11,7 @@ from tdsolve.counting import (
     eval_h,
 )
 from tdsolve.forest import RootedForest
-from tdsolve.graph import Graph, centroid_forest, dfs_elimination_forest
+from tdsolve.graph import Graph, centroid_forest, component_labels, dfs_elimination_forest
 from tdsolve.oracle import (
     brute_count_sensible,
     brute_td,
@@ -185,6 +185,50 @@ def test_eval_h_free_term_is_the_count():
                     count_elim_trees(g, t, d, cap=1)
             else:
                 assert eval_h(g, t, d, cap=1) == eval_h(g, t, d)
+
+
+def _random_connected_graphs(count, seed):
+    rng = random.Random(seed)
+    while count:
+        n = rng.randrange(2, 10)
+        g = random_graph(n, rng.randrange(n - 1, n * (n - 1) // 2 + 1), rng.randrange(10**6))
+        if component_labels(g)[1] == 1:
+            count -= 1
+            yield g
+
+
+def test_the_degree_budget_keeps_the_free_term_exact():
+    # count_elim_trees asks its frames only for degrees below a budget that
+    # starts at 1; eval_h keeps every degree below the static cap.  The
+    # prune is exact, so the two free terms agree, plain and weighted
+    rng = random.Random(29)
+    graphs = list(connected_graphs_up_to(6)) + list(_random_connected_graphs(60, 29))
+    for g in graphs:
+        for t in (dfs_elimination_forest(g), centroid_forest(g)):
+            for d in range(1, 6):
+                for w in (None, [rng.randrange(1 << 70) for _ in range(g.n)]):
+                    h = eval_h(g, t, d, weights=w)
+                    assert count_elim_trees(g, t, d, weights=w) == (h[0] if h else 0), (g.adj, d)
+
+
+def test_the_free_term_alone_takes_fewer_additions_than_the_polynomial(monkeypatch):
+    from tdsolve import counting
+
+    calls = []
+    real = counting.poly_addmul
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "poly_addmul", counted)
+    g = cycle(8)
+    t = dfs_elimination_forest(g)
+    count = count_elim_trees(g, t, 4)
+    free_term_calls = len(calls)
+    calls.clear()
+    assert eval_h(g, t, 4)[0] == count
+    assert free_term_calls < len(calls)
 
 
 def test_positivity_independent_of_auxiliary_tree():

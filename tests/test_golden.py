@@ -60,7 +60,7 @@ GOLDEN = {
     ("sparse7", "det", 3): (1, "td > 3\n"),
     ("sparse7", "det", 4): (0, "4\n5\n0\n1\n6\n2\n5\n6\n"),
     ("sparse7", "ran", 3): (1, "td > 3\n"),
-    ("sparse7", "ran", 4): (0, "4\n3\n4\n5\n7\n0\n4\n5\n"),
+    ("sparse7", "ran", 4): (0, "4\n5\n7\n1\n5\n0\n7\n4\n"),
     ("sparse8", "det", 3): (1, "td > 3\n"),
     ("sparse8", "det", 4): (0, "4\n0\n6\n1\n3\n4\n3\n0\n6\n"),
     ("sparse8", "ran", 3): (1, "td > 3\n"),
@@ -72,11 +72,11 @@ GOLDEN = {
     ("union", "det", 3): (1, "td > 3\n"),
     ("union", "det", 4): (0, "4\n0\n1\n4\n2\n4\n0\n6\n9\n7\n9\n"),
     ("union", "ran", 3): (1, "td > 3\n"),
-    ("union", "ran", 4): (0, "4\n2\n4\n2\n0\n4\n8\n6\n0\n10\n6\n"),
+    ("union", "ran", 4): (0, "4\n2\n4\n2\n0\n4\n8\n6\n0\n6\n9\n"),
     ("union3", "det", 2): (1, "td > 2\n"),
     ("union3", "det", 3): (0, "3\n0\n1\n1\n1\n0\n7\n5\n7\n0\n9\n10\n"),
     ("union3", "ran", 2): (1, "td > 2\n"),
-    ("union3", "ran", 3): (0, "3\n0\n1\n1\n1\n6\n0\n8\n6\n11\n0\n10\n"),
+    ("union3", "ran", 3): (0, "3\n0\n1\n1\n1\n6\n0\n8\n6\n10\n0\n9\n"),
 }
 
 

@@ -432,7 +432,7 @@ def test_finder_counts_level_graph_at_d_only_for_a_larger_class(monkeypatch):
     assert by_singleton and by_class
 
 
-def test_class_counts_equal_two_separate_counts(monkeypatch):
+def test_class_counts_equal_indicator_weighted_counts(monkeypatch):
     made = []
 
     def counting(*args, **kwargs):
@@ -446,11 +446,23 @@ def test_class_counts_equal_two_separate_counts(monkeypatch):
         d = rng.randrange(1, 5)
         members = sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
         made.clear()
-        total, den, num = _class_counts(g, t, d, members)
+        total, rooted = _class_counts(g, t, d, members)
         assert len(made) == 1  # one packed count
         assert total == count_elim_trees(g, t, d)
-        assert den == count_elim_trees(g, t, d, weights=[int(v in members) for v in range(g.n)])
-        assert num == count_elim_trees(g, t, d, weights=[v + 1 if v in members else 0 for v in range(g.n)])
+        assert len(rooted) == len(members)
+        for v, count in zip(members, rooted):
+            assert count == count_elim_trees(g, t, d, weights=[int(u == v) for u in range(g.n)])
+
+
+def test_a_class_with_two_feasible_roots_names_the_first(monkeypatch):
+    # both ends of K2 root a depth-2 tree, so with one color the class
+    # {0, 1} names vertex 0 at once, from one packed count
+    monkeypatch.setattr(linear, "color_count", lambda n, d: 1)
+    g = path(2)
+    ctx = ctx_for(g, 2)
+    found = find_root_colorcoding(g, dfs_elimination_forest(g), 2, ctx)
+    assert found is not None and found[:2] == (0, 1)
+    assert ctx.colorings_tried == 1 and ctx.roots_found == 1
 
 
 def test_infeasible_level_refuted_by_one_count_at_d(monkeypatch):
@@ -509,7 +521,7 @@ def test_color_coding_gives_up_after_the_last_color_count(monkeypatch):
     # retries: 1, 2, 4, 7 colors on path(7); 1, 2, ..., 256 on path(600),
     # where the doublings run out before the count reaches n
     monkeypatch.setattr(linear, "fits", lambda *args: None)
-    monkeypatch.setattr(linear, "_class_counts", lambda *args: (1, 0, 0))
+    monkeypatch.setattr(linear, "_class_counts", lambda g, t, d, members: (1, [0] * len(members)))
     monkeypatch.setattr(linear, "color_count", lambda n, d: 1)
     for n, counts in [(7, 4), (600, 1 + linear.MAX_COLOR_DOUBLINGS)]:
         g = path(n)
