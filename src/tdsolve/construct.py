@@ -96,15 +96,16 @@ def descend(g: Graph, d: int, find_root: RootFinder) -> RootedForest | None:
     level, so the number of levels must not be bounded by the interpreter's
     stack.
 
-    With find_root_exact every None is certified, that is td(g) > d:
+    With either finder every None is certified, that is td(g) > d:
     - A lower level graph is a matching contraction of the one above (a
       minor) or an induced subgraph of its improved graph, which has depth
       at most d exactly when the graph above does.  Either way it fits depth
       d whenever g does, so a None from structurally_infeasible or from
       build_forest at any level is sound.
-    - A None from build_forest is certified by find_root_exact, whether a
-      g-v failed on a zero count or on a component the structural filter
-      refutes.
+    - A None from build_forest is certified by the finder: find_root_exact
+      rejects every g-v on a zero count or on a component the structural
+      filter refutes, and linear.find_root_colorcoding's one coloring cannot
+      miss a root of a graph that fits.
     - too_deep comes from an improved-simplicial vertex of degree d+1 or
       more, that is a (d+2)-clique in the improved graph.  Its other source,
       the n / bod_fraction(d) threshold, cannot fire on a graph with an edge

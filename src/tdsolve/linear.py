@@ -8,10 +8,11 @@ could only reduce it at the end, so a prime would save no work: it would
 cost a draw and add a false negative whenever p divides a nonzero count.
 No prime is drawn.
 
-Infeasible verdicts (None) are certain when they come from the structural
-filter (edge count, path, clique or cycle bound) or a zero count; one from
-colorings that all missed can be a false negative with small probability.
-Returned forests are always validated, so false positives are impossible.
+Infeasible verdicts (None) are certain: they come from the structural
+filter (edge count, path, clique or cycle bound), a zero count, or a
+coloring whose classes named no root that g-v certifies, and one coloring
+cannot miss a root (find_root_colorcoding says why).  Returned forests are
+always validated, so false positives are impossible.
 """
 
 from __future__ import annotations
@@ -25,15 +26,8 @@ from .forest import Parts, RootedForest
 from .graph import Graph, recorded_lower_bound, structurally_infeasible
 
 
-# Color coding draws up to MAX_COLORING_RETRIES colorings per color count;
-# when they all fail, the count doubles (capped at n), up to
-# MAX_COLOR_DOUBLINGS times.
-MAX_COLORING_RETRIES = 24
-MAX_COLOR_DOUBLINGS = 8
-
-
 def color_count(n: int, d: int) -> int:
-    """The number of colors a coloring round starts with: min(n, (d+1)^(2(d+1)))."""
+    """The number of colors of the finder's coloring: min(n, (d+1)^(2(d+1)))."""
     return max(1, min(n, (d + 1) ** (2 * (d + 1))))
 
 
@@ -115,44 +109,42 @@ def find_root_colorcoding(g: Graph, t: RootedForest, d: int, ctx: RunContext) ->
     """A feasible root v of a depth-d elimination tree of the connected g,
     by random color isolation, with d-1 and the parts of g-v (as fits).
 
-    Each coloring round tries its color classes from the smallest up.  A
-    class of two or more gets the count of trees rooted at each member from
-    one packed count (_class_counts) and names its first member with a
-    nonzero one; a singleton names its vertex outright.  g minus that vertex
-    fitting d-1 (construct.fits) certifies it.  Exhausting all retries
-    (after the color-count doubling fallback) signals a probable false
-    negative to the caller.
+    One coloring is drawn, and its color classes are tried from the
+    smallest up.  A class of two or more gets the count of trees rooted at
+    each member from one packed count (_class_counts) and names its first
+    member with a nonzero one; a singleton names its vertex outright.  g
+    minus that vertex fitting d-1 (construct.fits) certifies it.
 
     The packed count of a class of two or more also gives g's plain count
-    at d, and a zero one returns None: g does not fit d.
+    at d, and a zero one returns None: g does not fit d.  The final None is
+    as certain.  If g fits d, the rooted counts N_v sum to g's nonzero
+    count, so some v has N_v > 0: fits certifies it if it is a singleton,
+    and otherwise its class names a member with a nonzero count, which g-v
+    fitting d-1 then certifies.  So once every class is tried, g has no
+    feasible root.
     """
     n = g.n
     rng = ctx.rng
     colors = color_count(n, d)
-    for _ in range(MAX_COLOR_DOUBLINGS + 1):
-        for _ in range(MAX_COLORING_RETRIES):
-            ctx.colorings_tried += 1
-            coloring = [rng.randrange(colors) for _ in range(n)]
-            classes: dict[int, list[int]] = {}
-            for v, c in enumerate(coloring):
-                classes.setdefault(c, []).append(v)
-            for _, members in sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0])):
-                v = members[0]
-                if len(members) > 1:
-                    total, rooted = _class_counts(g, t, d, members)
-                    if total == 0:
-                        return None
-                    v = next((v for v, count in zip(members, rooted) if count), None)
-                    if v is None:
-                        continue
-                # certified as the exact scan does; a failure means a wrong candidate
-                parts = fits(g, t, v, d - 1)
-                if parts is not None:
-                    ctx.roots_found += 1
-                    return v, d - 1, parts
-        if colors >= n:
-            break
-        colors = min(2 * colors, n)
+    ctx.colorings_tried += 1
+    coloring = [rng.randrange(colors) for _ in range(n)]
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(coloring):
+        classes.setdefault(c, []).append(v)
+    for _, members in sorted(classes.items(), key=lambda kv: (len(kv[1]), kv[0])):
+        v = members[0]
+        if len(members) > 1:
+            total, rooted = _class_counts(g, t, d, members)
+            if total == 0:
+                return None
+            v = next((v for v, count in zip(members, rooted) if count), None)
+            if v is None:
+                continue
+        # certified as the exact scan does; a failure means a wrong candidate
+        parts = fits(g, t, v, d - 1)
+        if parts is not None:
+            ctx.roots_found += 1
+            return v, d - 1, parts
     return None
 
 
@@ -174,9 +166,8 @@ def construct_linear(
     g: Graph, t: RootedForest, d: int, rng: random.Random | None = None
 ) -> RootedForest | None:
     """Turn an auxiliary elimination forest of depth at most 2d into one of
-    depth at most d, or report the budget infeasible (possibly a false
-    negative of color coding).  The counts run over the shallower
-    of t and the centroid forest of g."""
+    depth at most d, or report the budget infeasible, with certainty.  The
+    counts run over the shallower of t and the centroid forest of g."""
     ctx = new_run_context(g.n, d, LinearConfig(), rng or random.Random(0))
     return build_forest(g, shallower(g, t), d, colorcoding_root_finder(ctx))
 
@@ -185,8 +176,8 @@ def solve_randomized(g: Graph, d: int, rng: random.Random | None = None) -> Root
     """Full randomized pipeline: the structural filter, then
     construct.build_guided with the color-coding finder, which counts over
     the centroid forest when it is at most d+1 deep and runs the reduction
-    descent otherwise.  Never returns an invalid forest; None after a count
-    may be a false negative of color coding."""
+    descent otherwise.  Never returns an invalid forest, and every None is
+    certified: td(g) > d."""
     if g.n == 0:
         return RootedForest([])
     if d < 1 or structurally_infeasible(g, d):

@@ -173,7 +173,7 @@ def test_construct_linear_matches_deterministic_on_catalog():
         if t.max_depth > 2 * td:
             t = solve_deterministic(g, td)
         f = construct_linear(g, t, td, rng)
-        assert f is not None  # false negatives possible in principle, not seen at these sizes
+        assert f is not None  # a randomized None is certified, so never at td
         assert validate_elimination_forest(g, f, td)
 
 
@@ -206,6 +206,17 @@ def test_solve_randomized_oracle_agreement_small():
             assert validate_elimination_forest(g, f, d)
         if td > 1:
             assert solve_randomized(g, td - 1, random.Random(5)) is None
+
+
+def test_solve_randomized_verdicts_match_the_oracle_both_ways():
+    # every randomized None is certified, so it comes exactly when td > d
+    for g in connected_graphs_up_to(6):
+        td = brute_td(g)
+        for d in range(1, 6):
+            for seed in range(3):
+                f = solve_randomized(g, d, random.Random(seed))
+                assert (f is None) == (td > d), (g.adj, d, seed)
+                assert f is None or validate_elimination_forest(g, f, d)
 
 
 def test_solve_randomized_infeasible_paths_certified_quickly():
@@ -506,28 +517,36 @@ def test_same_seed_same_forest():
     assert a == b
 
 
-def test_color_doubling_recovers_from_tiny_override(monkeypatch):
-    # one color and four colorings per count: only doubling the count finds
-    # the roots of the level graphs with several
+def test_one_color_finds_each_root_with_one_coloring(monkeypatch):
+    # with one color every class is the whole level graph, and its packed
+    # count names a root of the level graphs with several at once
+    contexts = []
+    real_finder = linear.colorcoding_root_finder
+
+    def finder(ctx):
+        contexts.append(ctx)
+        return real_finder(ctx)
+
     monkeypatch.setattr(linear, "color_count", lambda n, d: 1)
-    monkeypatch.setattr(linear, "MAX_COLORING_RETRIES", 4)
+    monkeypatch.setattr(linear, "colorcoding_root_finder", finder)
     g = path(7)
     f = solve_randomized(g, 3, random.Random(2))
     assert f is not None and validate_elimination_forest(g, f, 3)
+    (ctx,) = contexts
+    assert ctx.roots_found and ctx.colorings_tried == ctx.roots_found
 
 
-def test_color_coding_gives_up_after_the_last_color_count(monkeypatch):
-    # no class ever names a certified vertex, so every count runs its
-    # retries: 1, 2, 4, 7 colors on path(7); 1, 2, ..., 256 on path(600),
-    # where the doublings run out before the count reaches n
+def test_color_coding_gives_up_after_one_coloring(monkeypatch):
+    # no class ever names a certified vertex, so the finder tries every
+    # class of its one coloring and returns None
     monkeypatch.setattr(linear, "fits", lambda *args: None)
     monkeypatch.setattr(linear, "_class_counts", lambda g, t, d, members: (1, [0] * len(members)))
     monkeypatch.setattr(linear, "color_count", lambda n, d: 1)
-    for n, counts in [(7, 4), (600, 1 + linear.MAX_COLOR_DOUBLINGS)]:
+    for n in (7, 600):
         g = path(n)
         ctx = new_run_context(n, 3, CFG, random.Random(0))
         assert find_root_colorcoding(g, dfs_elimination_forest(g), 3, ctx) is None
-        assert ctx.colorings_tried == counts * linear.MAX_COLORING_RETRIES
+        assert ctx.colorings_tried == 1
         assert ctx.roots_found == 0
 
 
