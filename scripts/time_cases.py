@@ -43,6 +43,10 @@ bounded cases need a tree whose oracle has that generator):
                       the structural filter's DFS cycle term
   det-path15-d4       solve_deterministic(path(15), 4)
   det-bounded32-d4    solve_deterministic(bounded(32, 4, 1), 4)
+  det-bounded1600-d3  solve_deterministic(bounded(1600, 3, 1), 3): the
+                      exact root scan labels g-v for v = 0, 1, ... in turn,
+                      so a level whose first root has a high index costs
+                      quadratic time
   det-k44-d4          solve_deterministic(complete_bipartite(4, 4), 4),
                       infeasible: passes the structural filter, refuted by a
                       full root scan whose every K44-v the filter refutes
@@ -87,6 +91,7 @@ CASES = {
     "det-cycle12-d4": ("deterministic", "cycle", (12,), 4),
     "det-path15-d4": ("deterministic", "path", (15,), 4),
     "det-bounded32-d4": ("deterministic", "bounded", (32, 4, 1), 4),
+    "det-bounded1600-d3": ("deterministic", "bounded", (1600, 3, 1), 3),
     "det-k44-d4": ("deterministic", "complete_bipartite", (4, 4), 4),
     "det-star2000-d2": ("deterministic", "complete_bipartite", (1, 1999), 2),
     "validate-star4000": ("validate", "complete_bipartite", (1, 3999), 4000),

@@ -260,11 +260,6 @@ def main(argv=None) -> int:
             return 0
         if not args.optimize:
             print(f"td > {d}")
-            # no randomness decides budget 0: a nonempty graph never fits it
-            if args.mode == "randomized" and d > 0:
-                print("note: randomized verdict; a false negative is possible "
-                      "(rerun with another seed or --mode deterministic to certify)",
-                      file=sys.stderr)
             return 1
     print(f"td > {budgets[-1]}")
     return 1

@@ -11,10 +11,10 @@ split.  Both solvers enter through build_guided, with different finders.
 The exact scan looks only at the graphs g-v: a connected g has depth at most
 d exactly when some g-v has depth at most d-1, so an exhausted scan
 certifies the verdict None (exact counts give no false negatives).  Both
-solvers certify a root through fits, which labels g-v once, settles its
-components by size or by the structural filter where it can, and restricts
-t to them and counts only where neither refutes, each part over the
-shallower of its restriction and its centroid forest."""
+solvers certify a root through fits, which labels g-v once and settles each
+component of g-v by its size, by the structural filter, by its own forest
+(the shallower of its restriction of t and its centroid forest, when that
+is an elimination forest within budget) or by a count over that forest."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .forest import (
     lift_simplicial,
     restrict_forest,
     split_components,
+    unbound_edge,
     validate_elimination_forest,
 )
 from .graph import (
@@ -149,10 +150,14 @@ def fits(g: Graph, t: RootedForest, v: int, d: int) -> Parts | None:
     """The parts of g-v if it fits depth d (count_elim_forests is nonzero on
     it), else None.  From one labelling of g-v, a component of at most d
     vertices fits, one that structurally_infeasible rejects does not, and
-    only once all pass is t restricted and the rest counted.
+    only once all pass is t restricted.  A larger part fits when its forest
+    shallower(part, restriction) is itself a witness, at most d deep and
+    binding every edge (then td <= d, so its count is nonzero); only the
+    other parts are counted, so a forest that leaves an edge unbound still
+    reaches the count, which raises.
 
-    The parts are split_components(g, t, v), but each counted part comes
-    with the forest it was counted over, shallower(part, restriction)."""
+    The parts are split_components(g, t, v), but each larger part comes
+    with its forest shallower(part, restriction)."""
     labelled = labelled_components(g, v)
     if any(structurally_infeasible(sub, d) for _, sub in labelled[2] if sub.n > d):
         return None
@@ -160,7 +165,7 @@ def fits(g: Graph, t: RootedForest, v: int, d: int) -> Parts | None:
     for i, (verts, sub, subt) in enumerate(parts):
         if sub.n > d:
             subt = shallower(sub, subt)
-            if not count_elim_forests(sub, subt, d):
+            if (subt.max_depth > d or unbound_edge(sub, subt)) and not count_elim_forests(sub, subt, d):
                 return None
             parts[i] = verts, sub, subt
     return parts

@@ -228,10 +228,11 @@ def test_cli_infeasible_k4(tmp_path, capsys):
     assert code == 1 and "td > 3" in out
 
 
-def test_cli_randomized_prints_caveat(tmp_path, capsys):
+def test_cli_randomized_negative_has_no_caveat(tmp_path, capsys):
+    # every randomized None is certified, so it carries no false-negative note
     k4 = "p tdp 4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
     code, out, err = run_cli(tmp_path, capsys, k4, "--max-depth", "3", "--mode", "randomized")
-    assert code == 1 and "td > 3" in out and "false negative" in err
+    assert code == 1 and "td > 3" in out and "false negative" not in err and not err
 
 
 def test_cli_count_only_k3(tmp_path, capsys):
@@ -280,9 +281,16 @@ def test_cli_calls_share_no_flags(tmp_path, capsys):
     k4 = "p tdp 4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
     assert build_parser() is build_parser()
     code, out, err = run_cli(tmp_path, capsys, k4, "--max-depth", "3", "--mode", "randomized")
-    assert code == 1 and "td > 3" in out and "false negative" in err
+    assert code == 1 and "td > 3" in out and err == ""
     code, out, err = run_cli(tmp_path, capsys, k4, "--max-depth", "3")
     assert code == 1 and "td > 3" in out and err == ""
+    # the two modes root cycle(6) differently (test_golden), so a mode that
+    # leaked into the next call would show in its forest
+    c6 = "p tdp 6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n"
+    code, out, _ = run_cli(tmp_path, capsys, c6, "--max-depth", "4", "--mode", "randomized", "--seed", "3")
+    assert code == 0 and out == "4\n5\n3\n1\n3\n0\n1\n"
+    code, out, _ = run_cli(tmp_path, capsys, c6, "--max-depth", "4")
+    assert code == 0 and out == "4\n0\n3\n1\n5\n3\n5\n"
     code, out, _ = run_cli(tmp_path, capsys, k4, "--optimize")
     assert code == 0 and out.startswith("4\n")
     code, _, err = run_cli(tmp_path, capsys, k4)

@@ -127,15 +127,32 @@ def test_root_scan_returns_first_feasible_root():
                 assert_parts_of_split(found[2], split_components(g, t, v))
 
 
-def test_fits_is_a_nonzero_count():
-    # settling a component by its size or by the structural filter gives the
-    # verdict of counting it.  Whether a count is nonzero does not depend on
-    # the forest (test_positivity_independent_of_auxiliary_tree), so the
-    # reference counts g-v over its own DFS forest.  Counts never fall as
-    # the budget grows, so once one is positive the larger budgets need no
-    # reference count.  A split fits returns is the driver's next level, so
-    # it must be the split of g-v, each counted part with a forest no deeper
-    # than its restriction and each smaller part with the restriction
+def test_fits_is_a_nonzero_count(monkeypatch):
+    # settling a component by its size, by the structural filter or by its
+    # own forest gives the verdict of counting it.  Whether a count is
+    # nonzero does not depend on the forest
+    # (test_positivity_independent_of_auxiliary_tree), so the reference
+    # counts g-v over its own DFS forest.  Counts never fall as the budget
+    # grows, so once one is positive the larger budgets need no reference
+    # count.  A split fits returns is the driver's next level, so it must be
+    # the split of g-v, each larger part with a forest no deeper than its
+    # restriction and each smaller part with the restriction.  The catalog
+    # reaches both ways of settling a larger part: its witness forest and
+    # its count
+    settled = {"witness": 0, "count": 0}
+    real_unbound, real_count = construct.unbound_edge, construct.count_elim_forests
+
+    def unbound(g, f):
+        edge = real_unbound(g, f)
+        settled["witness"] += edge is None
+        return edge
+
+    def counting(*args, **kwargs):
+        settled["count"] += 1
+        return real_count(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "unbound_edge", unbound)
+    monkeypatch.setattr(construct, "count_elim_forests", counting)
     for g in connected_graphs_up_to(6):
         for v in range(g.n):
             gv = minus_vertex(g, v)
@@ -151,6 +168,41 @@ def test_fits_is_a_nonzero_count():
                         assert_parts_of_split(parts, split)
                         for (_, sub, subt), (_, _, restricted) in zip(parts, split):
                             assert sub.n > d or subt == restricted
+    assert settled["witness"] and settled["count"], settled
+
+
+def test_fits_counts_no_part_its_own_forest_certifies(monkeypatch):
+    # path(7) less its middle is two paths of 3 vertices, too many for d=2,
+    # but the centroid forest restricts to a 2-deep forest of each: a
+    # witness that each fits, so nothing is counted
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted a part its own forest certifies")
+
+    monkeypatch.setattr(construct, "count_elim_forests", refuse)
+    g = path(7)
+    t = centroid_forest(g)
+    parts = fits(g, t, 3, 2)
+    assert parts is not None
+    assert_parts_of_split(parts, split_components(g, t, 3))
+    assert all(subt.max_depth == 2 for _, _, subt in parts)
+
+
+def test_fits_counts_a_part_whose_forest_leaves_an_edge_unbound(monkeypatch):
+    # below the middle of path(7), each half hangs its two outer vertices
+    # as siblings: a 2-deep tree per part that leaves an edge unbound, so no
+    # witness, and the count of the first part rejects it.  The restriction
+    # wins shallower's tie with the centroid forest
+    counted = []
+    real = construct.count_elim_forests
+
+    def counting(g, t, d, *args, **kwargs):
+        counted.append(g.n)
+        return real(g, t, d, *args, **kwargs)
+
+    monkeypatch.setattr(construct, "count_elim_forests", counting)
+    with pytest.raises(ValueError, match="does not bind edge"):
+        fits(path(7), RootedForest([2, 2, 3, -1, 3, 4, 4]), 3, 2)
+    assert counted == [3]
 
 
 def test_the_driver_recurses_on_the_split_that_certified_each_root(monkeypatch):
@@ -202,11 +254,13 @@ def test_the_driver_recurses_on_the_split_that_certified_each_root(monkeypatch):
     tallied(construct, "build_forest")
     for module in (construct, linear):
         tallied(module, "fits")
-    g = random_tree(12, 7)  # td 3, and its roots leave several components
+    # td 4; its roots leave several components, and some component's own
+    # forest does not certify it, so it is counted
+    g = random_graph(8, 11, 9)
     for randomized in (False, True):
         labels.clear()
         calls.update(dict.fromkeys(calls, 0))
-        f = linear.solve_randomized(g, 3, random.Random(1)) if randomized else solve_deterministic(g, 3)
+        f = linear.solve_randomized(g, 4, random.Random(1)) if randomized else solve_deterministic(g, 4)
         assert f is not None
         assert calls["build_forest"] == 1 and calls["fits"] and calls["labels_in_counts"]
         assert len(labels) == calls["build_forest"] + calls["fits"] + calls["labels_in_counts"]

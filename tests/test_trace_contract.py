@@ -47,13 +47,16 @@ def _write_graph(tmp_path, name, g):
 
 def test_traced_cli_runs_fill_the_layer_metrics(tmp_path, capsys):
     gfile = _write_graph(tmp_path, "p7.gr", path(7))
+    # td 4, and a component of g-v that its own forest does not certify is
+    # counted, so the deterministic root scan leaves a counted try
+    dfile = _write_graph(tmp_path, "rg8.gr", random_graph(8, 11, 9))
     # td 3, but its centroid forest is 5 deep, so the randomized solver
     # takes the reduction descent
     rfile = _write_graph(tmp_path, "rg6.gr", random_graph(6, 7, 35))
     # the path with its middle vertex on top, then the middles of each half
     ffile = _write(tmp_path, "p7.tree", "3\n" + "\n".join(map(str, [2, 4, 2, 0, 6, 4, 6])) + "\n")
     runs = {
-        "deterministic": [gfile, "--max-depth", "3", "--mode", "deterministic"],
+        "deterministic": [dfile, "--max-depth", "4", "--mode", "deterministic"],
         "randomized": [rfile, "--max-depth", "3", "--mode", "randomized", "--seed", "1"],
         "validate": [gfile, "--max-depth", "3", "--validate", ffile],
     }
